@@ -84,10 +84,10 @@ makeConfig(uint64_t nodes, uint32_t reports, bool agg_on)
     FxpMechanismParams p = referenceParams();
     FleetConfig fc;
     fc.master_seed = 42;
-    auto makeCohort = [&](const char *name, CohortMechanism m) {
+    auto makeCohort = [&](const char *mechanism) {
         CohortConfig c;
-        c.name = name;
-        c.mechanism = m;
+        c.name = mechanism;
+        c.mechanism_name = mechanism;
         c.params = p;
         c.loss_multiple = 2.0;
         c.nodes = nodes;
@@ -102,8 +102,8 @@ makeConfig(uint64_t nodes, uint32_t reports, bool agg_on)
         return c;
     };
     fc.cohorts = {
-        makeCohort("thresholding", CohortMechanism::Thresholding),
-        makeCohort("resampling", CohortMechanism::Resampling),
+        makeCohort("thresholding"),
+        makeCohort("resampling"),
     };
     return fc;
 }

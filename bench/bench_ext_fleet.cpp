@@ -103,10 +103,10 @@ makeConfig(uint64_t nodes, uint32_t reports)
 
     FleetConfig fc;
     fc.master_seed = 42;
-    auto makeCohort = [&](const char *name, CohortMechanism m) {
+    auto makeCohort = [&](const char *mechanism) {
         CohortConfig c;
-        c.name = name;
-        c.mechanism = m;
+        c.name = mechanism;
+        c.mechanism_name = mechanism;
         c.params = p;
         c.loss_multiple = 2.0;
         c.nodes = nodes;
@@ -116,8 +116,8 @@ makeConfig(uint64_t nodes, uint32_t reports)
         return c;
     };
     fc.cohorts = {
-        makeCohort("thresholding", CohortMechanism::Thresholding),
-        makeCohort("resampling", CohortMechanism::Resampling),
+        makeCohort("thresholding"),
+        makeCohort("resampling"),
     };
     return fc;
 }

@@ -81,10 +81,10 @@ runPanel(const char *title, int uniform_bits, double loss_multiple,
 
         FleetConfig fc;
         fc.master_seed = 900 + n;
-        auto makeCohort = [&](const char *name, CohortMechanism m) {
+        auto makeCohort = [&](const char *name, const char *mechanism) {
             CohortConfig c;
             c.name = name;
-            c.mechanism = m;
+            c.mechanism_name = mechanism;
             c.params = p;
             c.loss_multiple = loss_multiple;
             c.values = values;
@@ -95,10 +95,10 @@ runPanel(const char *title, int uniform_bits, double loss_multiple,
             return c;
         };
         fc.cohorts = {
-            makeCohort("Ideal", CohortMechanism::Ideal),
-            makeCohort("FxP baseline", CohortMechanism::Naive),
-            makeCohort("Resampling", CohortMechanism::Resampling),
-            makeCohort("Thresholding", CohortMechanism::Thresholding),
+            makeCohort("Ideal", "ideal"),
+            makeCohort("FxP baseline", "naive"),
+            makeCohort("Resampling", "resampling"),
+            makeCohort("Thresholding", "thresholding"),
         };
         FleetRunner runner(std::move(fc));
         FleetReport rep = runner.run();

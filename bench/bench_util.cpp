@@ -106,10 +106,15 @@ runFourSettings(const Dataset &data, const Query &query, double epsilon,
     // Table-sized cohorts: small blocks so even a 100-entry dataset
     // gives the thread pool something to balance.
     fc.block_nodes = 256;
-    auto makeCohort = [&](const char *name, CohortMechanism m) {
+    // Every setting selects its mechanism by name: the paper's four
+    // settings plus the two registry mechanisms that postdate it. The
+    // cohort planner resolves scale corrections / rounding modes
+    // through the registered lowering, so these rows exercise the
+    // same path a user mixing mechanisms would.
+    auto makeCohort = [&](const char *name, const char *mechanism) {
         CohortConfig c;
         c.name = name;
-        c.mechanism = m;
+        c.mechanism_name = mechanism;
         c.params = p;
         c.loss_multiple = loss_multiple;
         c.values = data.values;
@@ -119,28 +124,17 @@ runFourSettings(const Dataset &data, const Query &query, double epsilon,
         // per-trial sketch rows let the agg decoder answer the same
         // query per trial, so the tables compare both estimators on
         // identical reports. Ideal has no output grid and skips it.
-        c.agg.enabled = m != CohortMechanism::Ideal;
+        c.agg.enabled = std::string(mechanism) != "ideal";
         c.agg.per_trial = true;
         return c;
     };
-    // The registry mechanisms select by *name* -- the cohort planner
-    // resolves scale corrections / rounding modes through the
-    // registered lowering, so these rows exercise the same path a
-    // user mixing mechanisms would.
-    auto makeNamedCohort = [&](const char *name,
-                               const char *registry_name) {
-        CohortConfig c = makeCohort(name, CohortMechanism::Ideal);
-        c.mechanism_name = registry_name;
-        c.agg.enabled = true;
-        return c;
-    };
     fc.cohorts = {
-        makeCohort("Ideal Local DP", CohortMechanism::Ideal),
-        makeCohort("FxP HW Baseline", CohortMechanism::Naive),
-        makeCohort("Resampling", CohortMechanism::Resampling),
-        makeCohort("Thresholding", CohortMechanism::Thresholding),
-        makeNamedCohort("Bounded Laplace", "bounded-laplace"),
-        makeNamedCohort("Discrete Laplace", "discrete-laplace"),
+        makeCohort("Ideal Local DP", "ideal"),
+        makeCohort("FxP HW Baseline", "naive"),
+        makeCohort("Resampling", "resampling"),
+        makeCohort("Thresholding", "thresholding"),
+        makeCohort("Bounded Laplace", "bounded-laplace"),
+        makeCohort("Discrete Laplace", "discrete-laplace"),
     };
 
     FleetRunner runner(std::move(fc));

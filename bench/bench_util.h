@@ -78,12 +78,12 @@ struct SettingRow
  * thresholding) for one dataset and query -- methodology of Section V
  * with the loss bound n * eps, thresholds from the exact search --
  * plus the two registry mechanisms that postdate the paper
- * ("bounded-laplace", "discrete-laplace"), selected by name through
- * the mechanism registry so the tables triple as a registry
- * integration test: six rows per dataset.
+ * ("bounded-laplace", "discrete-laplace"): six rows per dataset, each
+ * selected by mechanism name, so the tables triple as a registry
+ * integration test.
  *
- * Implemented on the parallel fleet engine: the four settings run as
- * four cohorts of one fleet (dataset entry i = node i, trial t = every
+ * Implemented on the parallel fleet engine: the six settings run as
+ * six cohorts of one fleet (dataset entry i = node i, trial t = every
  * node's t-th report), so the trial loop parallelises across cores
  * while staying bit-identical for every thread count.
  *

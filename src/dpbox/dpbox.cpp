@@ -5,7 +5,6 @@
 
 #include "common/logging.h"
 #include "core/budget_ledger.h"
-#include "core/mechanism_registry.h"
 #include "telemetry/telemetry.h"
 
 namespace ulpdp {
@@ -60,35 +59,6 @@ DpBox::DpBox(const DpBoxConfig &config)
         // The monitor observes the URNG *after* any fault hook, i.e.
         // exactly the words the noising datapath consumes.
         urng_.attachHealthMonitor(&health_);
-    }
-    if (!config.mechanism.empty()) {
-        const MechanismRegistry::Entry *entry =
-            MechanismRegistry::instance().find(config.mechanism);
-        if (entry == nullptr) {
-            std::string known;
-            for (const std::string &k :
-                     MechanismRegistry::instance().names()) {
-                if (!known.empty())
-                    known += ", ";
-                known += k;
-            }
-            fatal("DpBox: unknown mechanism '%s' (registered: %s)",
-                  config.mechanism.c_str(), known.c_str());
-        }
-        if (config.mechanism == "resampling") {
-            thresholding_ = false;
-        } else if (config.mechanism == "thresholding") {
-            thresholding_ = true;
-        } else {
-            // The Eq. (19) noiser scales by bit shifts (epsilon =
-            // 2^-n_m): a corrected lambda or an extra rounding stage
-            // has no datapath to run on.
-            fatal("DpBox: mechanism '%s' does not lower onto the "
-                  "device datapath (the shift-scaled noiser cannot "
-                  "express a corrected scale or rounding mode); use "
-                  "'resampling' or 'thresholding'",
-                  config.mechanism.c_str());
-        }
     }
     if (config.word_bits < 8 || config.word_bits > 62)
         fatal("DpBox: word_bits must be in [8, 62], got %d",

@@ -36,7 +36,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <string>
 #include <vector>
 
 #include "common/fault.h"
@@ -100,18 +99,6 @@ struct DpBoxConfig
 
     /** Start in thresholding (true) or resampling (false) mode. */
     bool thresholding = true;
-
-    /**
-     * Registry mechanism name selecting the range-control mode by
-     * name instead of the raw `thresholding` toggle; empty keeps
-     * the toggle. Only "resampling" and "thresholding" lower onto
-     * the device datapath -- the Eq. (19) noiser scales by bit
-     * shifts (epsilon = 2^-n_m), so a corrected lambda
-     * (bounded-laplace) or a floor rounding stage (discrete-laplace)
-     * is not expressible in this silicon and such names are rejected
-     * at construction rather than silently mis-provisioned.
-     */
-    std::string mechanism;
 
     /** Enable the embedded budget-control logic (11% area cost). */
     bool budget_enabled = false;

@@ -5,8 +5,8 @@
  * The privacy analysis (Section III-A2 of the paper) sweeps the RNG
  * output resolution: By output bits with quantization step Delta, so
  * representable noise values are k*Delta for
- * k in {-2^(By-1), ..., 2^(By-1)-1}. A compile-time Fxp type cannot
- * express a swept resolution, hence this runtime quantizer.
+ * k in {-2^(By-1), ..., 2^(By-1)-1}. A compile-time fixed-point type
+ * cannot express a swept resolution, hence this runtime quantizer.
  */
 
 #ifndef ULPDP_FIXED_QUANTIZER_H

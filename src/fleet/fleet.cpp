@@ -200,45 +200,6 @@ publishCohort(const CohortResult &res)
 
 } // anonymous namespace
 
-const char *
-cohortMechanismName(CohortMechanism m)
-{
-    switch (m) {
-      case CohortMechanism::Ideal:
-        return "Ideal Local DP";
-      case CohortMechanism::Naive:
-        return "FxP HW Baseline";
-      case CohortMechanism::Resampling:
-        return "Resampling";
-      case CohortMechanism::Thresholding:
-        return "Thresholding";
-      case CohortMechanism::BoundedLaplace:
-        return "Bounded Laplace";
-      case CohortMechanism::DiscreteLaplace:
-        return "Discrete Laplace";
-    }
-    panic("cohortMechanismName: invalid mechanism");
-}
-
-const char *
-cohortMechanismRegistryName(CohortMechanism m)
-{
-    switch (m) {
-      case CohortMechanism::Ideal:
-      case CohortMechanism::Naive:
-        return nullptr;
-      case CohortMechanism::Resampling:
-        return "resampling";
-      case CohortMechanism::Thresholding:
-        return "thresholding";
-      case CohortMechanism::BoundedLaplace:
-        return "bounded-laplace";
-      case CohortMechanism::DiscreteLaplace:
-        return "discrete-laplace";
-    }
-    panic("cohortMechanismRegistryName: invalid mechanism");
-}
-
 /**
  * Everything a worker needs about one cohort, resolved once on the
  * main thread: grid indices, window, threshold, affordable report
@@ -259,17 +220,6 @@ struct FleetRunner::CohortPlan
         /** Resolved parameters (lambda_scale / rounding applied). */
         FxpMechanismParams params;
 
-        /** Registry name; empty for the two non-registered legacy
-         *  settings (Ideal, Naive). */
-        std::string registry_name;
-
-        /** Display label for reports. */
-        std::string label;
-
-        /** Effective enum value (best effort for registry names
-         *  without an enum mirror). */
-        CohortMechanism mech_enum = CohortMechanism::Thresholding;
-
         /** Window half-extension T in Delta units. */
         int64_t threshold = 0;
 
@@ -277,7 +227,7 @@ struct FleetRunner::CohortPlan
         bool truncated = false;
         bool clamp = false;
 
-        /** Legacy settings outside the registry. */
+        /** Uncertified yardsticks outside the registry. */
         bool ideal = false;
         bool naive = false;
     };
@@ -312,7 +262,7 @@ struct FleetRunner::CohortPlan
 
         // Every registered mechanism guarantees the loss_multiple *
         // eps per-query bound (that is what certification enforces);
-        // only the legacy uncontrolled settings charge plain eps.
+        // only the uncontrolled yardsticks charge plain eps.
         const bool controlled = !mech.ideal && !mech.naive;
         threshold = mech.threshold;
         win_lo = lo_index - threshold;
@@ -403,7 +353,7 @@ struct FleetRunner::CohortPlan
             agg_on = true;
         } else if (cfg.agg.enabled) {
             warn("FleetRunner: cohort '%s': streaming aggregation "
-                 "has no output grid under the Ideal mechanism; "
+                 "has no output grid under the 'ideal' mechanism; "
                  "disabled", cfg.name.c_str());
         }
     }
@@ -422,7 +372,7 @@ struct FleetRunner::CohortPlan
         spec.loss_multiple = cfg.loss_multiple;
         spec.threshold_index = threshold;
         return MechanismRegistry::instance()
-            .at(mech.registry_name).model(spec);
+            .at(cfg.mechanism_name).model(spec);
     }
 
     uint64_t
@@ -483,20 +433,15 @@ FleetRunner::CohortPlan::resolveMechanism(const CohortConfig &c)
 
     Mech m;
     m.params = c.params;
-    m.mech_enum = c.mechanism;
 
-    // Name-based selection wins when set; otherwise the enum maps to
-    // its registry name (Ideal/Naive have none and stay legacy).
-    std::string name = c.mechanism_name;
-    if (name.empty()) {
-        const char *n = cohortMechanismRegistryName(c.mechanism);
-        if (n == nullptr) {
-            m.ideal = c.mechanism == CohortMechanism::Ideal;
-            m.naive = c.mechanism == CohortMechanism::Naive;
-            m.label = cohortMechanismName(c.mechanism);
-            return m;
-        }
-        name = n;
+    // The paper's two uncertified yardsticks resolve before the
+    // registry lookup: they are never registered, so registration
+    // keeps implying certifiability.
+    const std::string &name = c.mechanism_name;
+    if (name == "ideal" || name == "naive") {
+        m.ideal = name == "ideal";
+        m.naive = name == "naive";
+        return m;
     }
 
     const MechanismRegistry::Entry *entry =
@@ -510,8 +455,8 @@ FleetRunner::CohortPlan::resolveMechanism(const CohortConfig &c)
             known += k;
         }
         fatal("FleetRunner: cohort '%s': unknown mechanism '%s' "
-              "(registered: %s)", c.name.c_str(), name.c_str(),
-              known.c_str());
+              "(registered: %s; uncertified yardsticks: ideal, "
+              "naive)", c.name.c_str(), name.c_str(), known.c_str());
     }
     if (!entry->lower)
         fatal("FleetRunner: cohort '%s': mechanism '%s' has no "
@@ -525,28 +470,9 @@ FleetRunner::CohortPlan::resolveMechanism(const CohortConfig &c)
     spec.threshold_index = c.threshold_index;
     MechanismLowering low = entry->lower(spec);
     m.params = low.params;
-    m.registry_name = name;
     m.threshold = low.threshold_index;
     m.truncated = low.truncated;
     m.clamp = low.clamp;
-
-    // Mirror known registry names back onto the enum so downstream
-    // consumers switching on CohortResult::mechanism see the truth;
-    // future names without an enum value keep the honest label.
-    if (name == "resampling")
-        m.mech_enum = CohortMechanism::Resampling;
-    else if (name == "thresholding")
-        m.mech_enum = CohortMechanism::Thresholding;
-    else if (name == "bounded-laplace")
-        m.mech_enum = CohortMechanism::BoundedLaplace;
-    else if (name == "discrete-laplace")
-        m.mech_enum = CohortMechanism::DiscreteLaplace;
-    else
-        m.mech_enum = c.mechanism;
-    const char *canon = cohortMechanismRegistryName(m.mech_enum);
-    m.label = (canon != nullptr && name == canon)
-        ? cohortMechanismName(m.mech_enum)
-        : name;
     return m;
 }
 
@@ -1228,8 +1154,7 @@ FleetRunner::run(unsigned num_threads)
         CohortResult res(Histogram(plan.hist_lo, plan.hist_hi,
                                    plan.cfg.histogram_bins));
         res.name = plan.cfg.name;
-        res.mechanism = plan.mech.mech_enum;
-        res.mechanism_label = plan.mech.label;
+        res.mechanism = plan.cfg.mechanism_name;
         res.nodes = plan.nodes;
         res.trial_estimate.assign(plan.cfg.reports_per_node, 0.0);
         for (const BlockAccum &acc : accums[c]) {

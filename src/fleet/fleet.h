@@ -61,38 +61,6 @@
 
 namespace ulpdp {
 
-/** Which mechanism a cohort's nodes run. */
-enum class CohortMechanism
-{
-    /** Continuous double-precision Laplace (the utility yardstick). */
-    Ideal,
-
-    /** Fixed-point noise, no range control (not LDP). */
-    Naive,
-
-    /** Fixed-point noise redrawn into the window (table-driven
-     *  truncated inversion -- no redraw loop). */
-    Resampling,
-
-    /** Fixed-point noise clamped to the window. */
-    Thresholding,
-
-    /** Variance-corrected bounded Laplace (Holohan et al.): outputs
-     *  confined to the sensor range itself, T = 0. */
-    BoundedLaplace,
-
-    /** Discrete Laplace (Floor-rounded pipeline) with resampling
-     *  window control. */
-    DiscreteLaplace,
-};
-
-/** Human-readable mechanism name. */
-const char *cohortMechanismName(CohortMechanism m);
-
-/** Registry lookup name for an enum value, or nullptr for the two
- *  legacy non-registered settings (Ideal, Naive). */
-const char *cohortMechanismRegistryName(CohortMechanism m);
-
 /**
  * One cohort: a group of nodes sharing a mechanism configuration.
  * Different cohorts of one fleet can run different mechanisms,
@@ -104,18 +72,17 @@ struct CohortConfig
     /** Cohort label for reports. */
     std::string name = "cohort";
 
-    /** Mechanism every node of this cohort runs. */
-    CohortMechanism mechanism = CohortMechanism::Thresholding;
-
     /**
-     * Select the mechanism through the registry by name instead of
-     * the enum (e.g. "bounded-laplace"). Empty keeps the enum
-     * selection. The named mechanism must advertise a fleet lowering
-     * (MechanismRegistry::Entry::lower); for the names that mirror
-     * enum values the two selection paths resolve to bit-identical
-     * plans, which the fingerprint-immunity test proves.
+     * Mechanism every node of this cohort runs, by registry name
+     * (e.g. "thresholding", "resampling", "bounded-laplace"). The
+     * entry must advertise a fleet lowering
+     * (MechanismRegistry::Entry::lower). Two further names select
+     * the paper's uncertified yardsticks, which are deliberately not
+     * registered: "ideal" (continuous double-precision Laplace) and
+     * "naive" (fixed-point noise with no range control, not LDP).
+     * Any other name, or an empty one, is fatal at plan time.
      */
-    std::string mechanism_name;
+    std::string mechanism_name = "thresholding";
 
     /** Fixed-point parameters (range, eps, Bu, By, Delta). The
      *  params.seed field is ignored: fleet nodes are seeded per node
@@ -188,7 +155,7 @@ struct CohortConfig
      * them with the unbiased channel-inversion estimator. Off by
      * default -- enabling it extends the fingerprint with the sketch
      * state, so existing baselines are untouched until a cohort opts
-     * in. Ignored for Ideal cohorts (no output grid to sketch on).
+     * in. Ignored for "ideal" cohorts (no output grid to sketch on).
      */
     agg::AggConfig agg;
 };
@@ -273,12 +240,9 @@ struct CohortResult
     /** Cohort label. */
     std::string name;
 
-    /** Mechanism the cohort ran. */
-    CohortMechanism mechanism = CohortMechanism::Thresholding;
-
-    /** Display name of the mechanism the cohort ran (authoritative
-     *  for registry-selected cohorts; not part of the fingerprint). */
-    std::string mechanism_label;
+    /** Name of the mechanism the cohort ran (its
+     *  CohortConfig::mechanism_name; not part of the fingerprint). */
+    std::string mechanism;
 
     /** Nodes simulated. */
     uint64_t nodes = 0;

@@ -5,7 +5,6 @@
 
 #include "common/logging.h"
 #include "rng/laplace_table.h"
-#include "rng/taus_bank.h"
 
 namespace ulpdp {
 
@@ -179,46 +178,6 @@ FxpLaplaceRng::sampleBatch(int64_t *out, size_t n)
     }
     int64_t sat = quantizer_.maxIndex();
 
-    // Bank-backed block path: mirror the single URNG stream into a
-    // one-lane TausBank, draw the whole batch branchlessly, and only
-    // commit (stream state, sample count) when no integrity
-    // comparator tripped. Word consumption is identical to the
-    // per-draw loop below -- one magnitude word then one sign word
-    // per sample -- so the two paths are bit-exchangeable. A hooked
-    // or monitored URNG must stay on the scalar path, where every
-    // word passes through its observation seams.
-    if (urng_.plain() && n > 0) {
-        const uint16_t *direct = t->directData();
-        const uint32_t mask =
-            (uint32_t{1} << config_.uniform_bits) - 1u;
-        const int shift = 32 - config_.uniform_bits;
-        TausBank bank;
-        uint32_t b1 = urng_.s1(), b2 = urng_.s2(), b3 = urng_.s3();
-        bank.adoptState(&b1, &b2, &b3, 1);
-        bool bad = false;
-        for (size_t i = 0; i < n; ++i) {
-            uint32_t mw, sw;
-            bank.nextWords(&mw);
-            bank.nextWords(&sw);
-            uint32_t idx = ((mw >> shift) - 1u) & mask;
-            int64_t k = direct[idx];
-            if (config_.integrity_checks && k > sat) {
-                // Fall back to the per-draw loop from the original
-                // stream state: it re-derives the same words, detects
-                // the same corrupt entry, and quarantines with the
-                // exact scalar semantics.
-                bad = true;
-                break;
-            }
-            int64_t sm = static_cast<int32_t>(sw) >> 31;
-            out[i] = (k ^ ~sm) - ~sm;
-        }
-        if (!bad) {
-            samples_drawn_ += n;
-            urng_.setState(bank.s1(0), bank.s2(0), bank.s3(0));
-            return;
-        }
-    }
     for (size_t i = 0; i < n; ++i) {
         if (integrity_fault_) {
             // Table quarantined mid-batch: finish on the log path.

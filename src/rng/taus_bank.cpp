@@ -120,27 +120,6 @@ TausBank::seed(const uint64_t *seeds, size_t lanes)
 }
 
 void
-TausBank::adoptState(const uint32_t *s1, const uint32_t *s2,
-                     const uint32_t *s3, size_t lanes)
-{
-    if (lanes == 0 || lanes > kMaxLanes)
-        fatal("TausBank: lane count must be in [1, %zu], got %zu",
-              kMaxLanes, lanes);
-    lanes_ = lanes;
-    for (size_t l = 0; l < lanes; ++l) {
-        ULPDP_ASSERT(s1[l] >= 2 && s2[l] >= 8 && s3[l] >= 16);
-        s1_[l] = s1[l];
-        s2_[l] = s2[l];
-        s3_[l] = s3[l];
-    }
-    for (size_t l = lanes; l < kMaxLanes; ++l) {
-        s1_[l] = 2;
-        s2_[l] = 8;
-        s3_[l] = 16;
-    }
-}
-
-void
 TausBank::nextWords(uint32_t *out)
 {
 #if defined(ULPDP_SIMD_AVX2)

@@ -72,17 +72,6 @@ class TausBank
      */
     void seed(const uint64_t *seeds, size_t lanes);
 
-    /**
-     * Adopt raw component states mid-stream: lane l continues the
-     * stream whose current Tausworthe state is (s1[l], s2[l], s3[l]).
-     * Every component must already satisfy its LFSR minimum (states
-     * read back from a live Tausworthe or this bank always do). This
-     * is how FxpLaplaceRng mirrors its single URNG stream into a
-     * one-lane bank for a batch and commits the state back afterwards.
-     */
-    void adoptState(const uint32_t *s1, const uint32_t *s2,
-                    const uint32_t *s3, size_t lanes);
-
     /** Active lane count. */
     size_t lanes() const { return lanes_; }
 

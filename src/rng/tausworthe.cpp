@@ -53,15 +53,6 @@ Tausworthe::Tausworthe(uint64_t seed)
         s3_ += 16;
 }
 
-void
-Tausworthe::setState(uint32_t s1, uint32_t s2, uint32_t s3)
-{
-    ULPDP_ASSERT(s1 >= 2 && s2 >= 8 && s3 >= 16);
-    s1_ = s1;
-    s2_ = s2;
-    s3_ = s3;
-}
-
 uint32_t
 Tausworthe::next32()
 {

@@ -88,25 +88,6 @@ class Tausworthe
     uint32_t s3() const { return s3_; }
 
     /**
-     * Restore raw component state (checkpointing, and the batch layer
-     * committing a mirrored stream back after a block of draws). The
-     * components must satisfy the LFSR minimums -- any state read back
-     * from a live generator does.
-     */
-    void setState(uint32_t s1, uint32_t s2, uint32_t s3);
-
-    /**
-     * Whether no fault hook and no health monitor is attached. Only a
-     * plain stream may be mirrored into a TausBank lane: the bank has
-     * no per-word observation seams, so hooked generators must stay on
-     * the scalar path where every word passes the hook/monitor.
-     */
-    bool plain() const
-    {
-        return fault_hook_ == nullptr && health_ == nullptr;
-    }
-
-    /**
      * Attach a fault hook at the output register: every generated
      * word passes through hook->urngWord() before anything else sees
      * it (the internal LFSR state keeps evolving -- this models a

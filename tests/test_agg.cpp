@@ -368,7 +368,7 @@ aggFleet()
 
     CohortConfig thr;
     thr.name = "thr";
-    thr.mechanism = CohortMechanism::Thresholding;
+    thr.mechanism_name = "thresholding";
     thr.params = p;
     thr.nodes = 3000;
     thr.reports_per_node = 3;
@@ -378,7 +378,7 @@ aggFleet()
 
     CohortConfig res;
     res.name = "res";
-    res.mechanism = CohortMechanism::Resampling;
+    res.mechanism_name = "resampling";
     res.params = p;
     res.nodes = 2000;
     res.reports_per_node = 2;
@@ -495,7 +495,7 @@ TEST(AggFleet, AggOffFingerprintUnchanged)
 TEST(AggFleet, IdealCohortSkipsAggregation)
 {
     FleetConfig fc = aggFleet();
-    fc.cohorts[0].mechanism = CohortMechanism::Ideal;
+    fc.cohorts[0].mechanism_name = "ideal";
     FleetReport report = FleetRunner(fc).run(2);
     EXPECT_TRUE(report.cohorts[0].agg == nullptr);
     EXPECT_TRUE(report.cohorts[1].agg != nullptr);
@@ -513,7 +513,7 @@ TEST(AggFleet, BoundaryUnbiasingBeatsRawMeanNearClamp)
     fc.block_nodes = 256;
     CohortConfig c;
     c.name = "edge";
-    c.mechanism = CohortMechanism::Thresholding;
+    c.mechanism_name = "thresholding";
     c.params = p;
     c.values.assign(20000, 9.6875); // grid point near hi = 10
     c.reports_per_node = 2;

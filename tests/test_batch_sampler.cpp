@@ -224,30 +224,25 @@ TEST(TausBank, DeriveLaneSeedsCleanDistinctDeterministic)
     }
 }
 
-TEST(TausBank, AdoptStateAndLaneStepInterleaveWithLockstep)
+TEST(TausBank, SeededLaneStepsInterleaveWithLockstep)
 {
-    // Mid-stream adoption plus arbitrary interleaving of full-width
-    // steps and single-lane fixup steps: every lane must observe the
-    // same word sequence as its scalar twin no matter how the two
-    // entry points mix (this is what the truncated-rect rejection
-    // fixups lean on).
+    // Lanes parked at different stream offsets plus arbitrary
+    // interleaving of full-width steps and single-lane fixup steps:
+    // every lane must observe the same word sequence as its scalar
+    // twin no matter how the two entry points mix (this is what the
+    // truncated-rect rejection fixups lean on).
+    const uint64_t seeds[3] = {11u, 22u, 33u};
     std::vector<Tausworthe> twins;
-    twins.emplace_back(11u);
-    twins.emplace_back(22u);
-    twins.emplace_back(33u);
-    for (int i = 0; i < 1000; ++i)
-        twins[0].next32();
-    for (int i = 0; i < 77; ++i)
-        twins[2].next32();
-
-    uint32_t s1[3], s2[3], s3[3];
-    for (size_t l = 0; l < 3; ++l) {
-        s1[l] = twins[l].s1();
-        s2[l] = twins[l].s2();
-        s3[l] = twins[l].s3();
-    }
+    for (uint64_t s : seeds)
+        twins.emplace_back(s);
     TausBank bank;
-    bank.adoptState(s1, s2, s3, 3);
+    bank.seed(seeds, 3);
+
+    // Advance lanes 0 and 2 on their own, as a rejection fixup would.
+    for (int i = 0; i < 1000; ++i)
+        EXPECT_EQ(bank.next32Lane(0), twins[0].next32());
+    for (int i = 0; i < 77; ++i)
+        EXPECT_EQ(bank.next32Lane(2), twins[2].next32());
 
     uint32_t words[3];
     for (size_t step = 0; step < 5000; ++step) {
@@ -428,11 +423,10 @@ TEST(BatchSampler, CorruptedTableFailsBatchOnlyWhenChecksOn)
 
 TEST(FxpLaplace, BatchedFallbackMatchesPerDrawQuarantine)
 {
-    // sampleBatch rides the one-lane bank mirror; when the table is
-    // corrupted the bank bails and the scalar per-draw loop redoes the
-    // batch from the untouched stream state, quarantining at the exact
-    // draw the comparator trips. The whole episode must be
-    // bit-identical to never having had a batch path at all.
+    // When the table is corrupted, sampleBatch quarantines at the
+    // exact draw the comparator trips and finishes the batch on the
+    // log datapath. The whole episode must be bit-identical to the
+    // same draws taken one at a time through sampleIndexFast.
     FxpLaplaceConfig cfg = tableConfig(12);
     FxpLaplaceRng batched(cfg, 77);
     FxpLaplaceRng per_draw(cfg, 77);
@@ -571,7 +565,7 @@ batchFleet()
     fc.block_nodes = 256;
     CohortConfig thr;
     thr.name = "thr";
-    thr.mechanism = CohortMechanism::Thresholding;
+    thr.mechanism_name = "thresholding";
     thr.params = p;
     thr.nodes = 2000;
     thr.reports_per_node = 4;
@@ -579,14 +573,14 @@ batchFleet()
     thr.analyze_loss = false;
     CohortConfig res;
     res.name = "res";
-    res.mechanism = CohortMechanism::Resampling;
+    res.mechanism_name = "resampling";
     res.params = p;
     res.nodes = 2000;
     res.reports_per_node = 3;
     res.analyze_loss = false;
     CohortConfig naive;
     naive.name = "naive";
-    naive.mechanism = CohortMechanism::Naive;
+    naive.mechanism_name = "naive";
     naive.params = p;
     naive.nodes = 1000;
     naive.reports_per_node = 2;

@@ -10,6 +10,7 @@
 #include <cmath>
 #include <cstring>
 #include <set>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -233,7 +234,7 @@ smallFleet()
     fc.block_nodes = 256; // several blocks per cohort
     CohortConfig thr;
     thr.name = "thr";
-    thr.mechanism = CohortMechanism::Thresholding;
+    thr.mechanism_name = "thresholding";
     thr.params = p;
     thr.nodes = 2500;
     thr.reports_per_node = 4;
@@ -242,7 +243,7 @@ smallFleet()
     thr.analyze_loss = false;
     CohortConfig res;
     res.name = "res";
-    res.mechanism = CohortMechanism::Resampling;
+    res.mechanism_name = "resampling";
     res.params = p;
     res.nodes = 2500;
     res.reports_per_node = 4;
@@ -445,7 +446,7 @@ TEST(FleetEngine, IdealCohortIsLdpAtEpsilon)
     FleetConfig fc = smallFleet();
     fc.cohorts.resize(1);
     CohortConfig &c = fc.cohorts[0];
-    c.mechanism = CohortMechanism::Ideal;
+    c.mechanism_name = "ideal";
     c.nodes = 500;
     c.budget_per_node = 0.0;
     c.analyze_loss = true;
@@ -455,7 +456,7 @@ TEST(FleetEngine, IdealCohortIsLdpAtEpsilon)
     const CohortResult &r = rep.cohorts[0];
     EXPECT_TRUE(r.ldp);
     EXPECT_DOUBLE_EQ(r.worst_loss, 0.5);
-    EXPECT_EQ(r.mechanism, CohortMechanism::Ideal);
+    EXPECT_EQ(r.mechanism, "ideal");
 }
 
 TEST(FleetEngine, LossAnalysisMatchesMechanismClass)
@@ -472,18 +473,17 @@ TEST(FleetEngine, LossAnalysisMatchesMechanismClass)
 
     FleetConfig fc;
     fc.master_seed = 5;
-    auto makeCohort = [&](CohortMechanism m) {
+    auto makeCohort = [&](const char *mechanism) {
         CohortConfig c;
-        c.mechanism = m;
+        c.mechanism_name = mechanism;
         c.params = p;
         c.nodes = 64;
         c.reports_per_node = 1;
         c.analyze_loss = true;
         return c;
     };
-    fc.cohorts = {makeCohort(CohortMechanism::Naive),
-                  makeCohort(CohortMechanism::Resampling),
-                  makeCohort(CohortMechanism::Thresholding)};
+    fc.cohorts = {makeCohort("naive"), makeCohort("resampling"),
+                  makeCohort("thresholding")};
     FleetRunner runner(fc);
     FleetReport rep = runner.run();
     EXPECT_FALSE(rep.cohorts[0].ldp);
@@ -543,11 +543,11 @@ raggedFleet()
     FleetConfig fc;
     fc.master_seed = 1234;
     fc.block_nodes = 83; // prime: never a multiple of 16 lanes
-    auto makeCohort = [&](const char *name, CohortMechanism m,
+    auto makeCohort = [&](const char *name, const char *mechanism,
                           uint64_t nodes, uint32_t reports) {
         CohortConfig c;
         c.name = name;
-        c.mechanism = m;
+        c.mechanism_name = mechanism;
         c.params = p;
         c.nodes = nodes;
         c.reports_per_node = reports;
@@ -555,10 +555,10 @@ raggedFleet()
         return c;
     };
     fc.cohorts = {
-        makeCohort("thr", CohortMechanism::Thresholding, 997, 3),
-        makeCohort("res", CohortMechanism::Resampling, 2503, 2),
-        makeCohort("tiny", CohortMechanism::Thresholding, 7, 5),
-        makeCohort("ideal", CohortMechanism::Ideal, 61, 1),
+        makeCohort("thr", "thresholding", 997, 3),
+        makeCohort("res", "resampling", 2503, 2),
+        makeCohort("tiny", "thresholding", 7, 5),
+        makeCohort("ideal", "ideal", 61, 1),
     };
     return fc;
 }
@@ -649,29 +649,70 @@ TEST(FleetStress, BudgetedRaggedCohortsReplayDeterministically)
 
 TEST(FleetRegistry, NamedSelectionIsFingerprintImmune)
 {
-    // Selecting the legacy pair by registry name must route through
-    // the registered lowering and still produce the bit-identical
-    // report of the hard-wired enum path: the registry is a
-    // dispatcher, not a behaviour change.
-    FleetConfig by_enum = smallFleet();
-    FleetConfig by_name = smallFleet();
-    by_name.cohorts[0].mechanism_name = "thresholding";
-    by_name.cohorts[1].mechanism_name = "resampling";
-
-    FleetRunner a(by_enum);
-    FleetRunner b(by_name);
-    expectIdentical(a.run(4), b.run(4));
+    // Selecting by registry name routes through the registered
+    // lowering, which must reproduce the hard-wired thresholding /
+    // resampling reports bit for bit: the literal is the fingerprint
+    // smallFleet() produced with that pair hard-wired, and it must
+    // not move at any thread count.
+    FleetConfig fc = smallFleet();
+    ASSERT_EQ(fc.cohorts[0].mechanism_name, "thresholding");
+    ASSERT_EQ(fc.cohorts[1].mechanism_name, "resampling");
+    FleetRunner runner(fc);
+    for (unsigned threads : {1u, 4u}) {
+        FleetReport rep = runner.run(threads);
+        EXPECT_EQ(rep.fingerprint(), 0x66bc95455ecba0faULL)
+            << "threads=" << threads;
+        EXPECT_EQ(rep.cohorts[0].mechanism, "thresholding");
+        EXPECT_EQ(rep.cohorts[1].mechanism, "resampling");
+    }
 }
 
-TEST(FleetRegistry, NamedSelectionNormalizesResultEnum)
+TEST(FleetRegistry, DefaultCohortRunsThresholding)
 {
+    // A cohort that never names a mechanism runs thresholding, the
+    // paper's default device mode, under its certified bound.
     FleetConfig fc = smallFleet();
-    fc.cohorts[0].mechanism_name = "resampling"; // overrides the enum
+    CohortConfig c;
+    c.name = "default";
+    c.params = fc.cohorts[0].params;
+    c.nodes = 700;
+    c.reports_per_node = 2;
+    fc.cohorts = {c};
     FleetRunner runner(fc);
     FleetReport rep = runner.run(2);
-    EXPECT_EQ(rep.cohorts[0].mechanism, CohortMechanism::Resampling);
-    EXPECT_EQ(rep.cohorts[0].mechanism_label, "Resampling");
-    EXPECT_EQ(rep.cohorts[1].mechanism_label, "Resampling");
+    const CohortResult &r = rep.cohorts[0];
+    EXPECT_EQ(r.mechanism, "thresholding");
+    EXPECT_TRUE(r.ldp);
+    EXPECT_LE(r.worst_loss, c.loss_multiple * c.params.epsilon + 1e-9);
+    EXPECT_EQ(r.reports, 1400u);
+}
+
+TEST(FleetRegistry, RejectsUnusableNames)
+{
+    // Empty and unknown names, and a registered mechanism with no
+    // fleet lowering, are all refused at plan time: a cohort never
+    // silently falls back to some other mechanism.
+    for (const char *name :
+         {"", "laplace", "Thresholding", "constant-time-resampling"}) {
+        FleetConfig fc = smallFleet();
+        fc.cohorts[1].mechanism_name = name;
+        EXPECT_THROW(FleetRunner runner(fc), FatalError)
+            << "mechanism '" << name << "'";
+    }
+
+    // The unknown-name message lists every name a cohort may use.
+    FleetConfig fc = smallFleet();
+    fc.cohorts[0].mechanism_name = "laplace";
+    try {
+        FleetRunner runner(fc);
+        FAIL() << "unknown mechanism accepted";
+    } catch (const FatalError &e) {
+        const std::string msg = e.what();
+        for (const char *name :
+             {"thresholding", "resampling", "bounded-laplace",
+              "discrete-laplace", "ideal", "naive"})
+            EXPECT_NE(msg.find(name), std::string::npos) << name;
+    }
 }
 
 TEST(FleetRegistry, BoundedCohortConfinesOutputsAndIsLdp)
@@ -689,7 +730,7 @@ TEST(FleetRegistry, BoundedCohortConfinesOutputsAndIsLdp)
     FleetRunner runner(fc);
     FleetReport rep = runner.run(4);
     const CohortResult &res = rep.cohorts[0];
-    EXPECT_EQ(res.mechanism, CohortMechanism::BoundedLaplace);
+    EXPECT_EQ(res.mechanism, "bounded-laplace");
     EXPECT_TRUE(res.ldp);
     EXPECT_LE(res.worst_loss, 2.0 * c.params.epsilon + 1e-9);
     // T = 0: every materialized report stays inside the sensor range.
@@ -707,20 +748,20 @@ TEST(FleetRegistry, DiscreteCohortTracksResamplingUtility)
     FleetConfig fc = smallFleet();
     fc.cohorts.resize(2);
     fc.cohorts[0].name = "res";
-    fc.cohorts[0].mechanism = CohortMechanism::Resampling;
+    fc.cohorts[0].mechanism_name = "resampling";
     fc.cohorts[0].budget_per_node = 0.0;
     fc.cohorts[0].nodes = 20000;
     fc.cohorts[0].analyze_loss = true;
     fc.cohorts[1] = fc.cohorts[0];
     fc.cohorts[1].name = "disc";
-    fc.cohorts[1].mechanism = CohortMechanism::DiscreteLaplace;
+    fc.cohorts[1].mechanism_name = "discrete-laplace";
 
     FleetRunner runner(fc);
     FleetReport rep = runner.run(4);
     const CohortResult &res = rep.cohorts[0];
     const CohortResult &disc = rep.cohorts[1];
     EXPECT_TRUE(disc.ldp);
-    EXPECT_EQ(disc.mechanism_label, "Discrete Laplace");
+    EXPECT_EQ(disc.mechanism, "discrete-laplace");
     // The Floor pipeline's doubled zero atom costs ln 2 of loss,
     // paid for by scale inflation: utility is worse than resampling
     // but by a bounded factor, not a different regime.

@@ -6,19 +6,21 @@
  * one budget pool.
  */
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
 
 #include <gtest/gtest.h>
 
-#include "core/generic_mechanism.h"
 #include "core/kary_randomized_response.h"
+#include "core/output_model.h"
 #include "core/privacy_loss.h"
 #include "core/shared_budget.h"
 #include "dpbox/driver.h"
 #include "dpbox/provisioning.h"
 #include "dpbox/trace.h"
 #include "query/histogram_query.h"
+#include "rng/fxp_inversion.h"
 #include "sim/sensor_adc.h"
 
 namespace ulpdp {
@@ -69,19 +71,19 @@ TEST(IntegrationExt, GaussianMechanismDeconvolvesToo)
     cfg.delta = 10.0 / 32.0;
     auto icdf = std::make_shared<GaussianMagnitude>(3.0);
 
+    // Thresholding over the [0, 10] sensor range: 32 input steps of
+    // Delta, window extended by t steps on each side.
     int64_t t = 40;
-    GenericFxpMechanism mech(SensorRange(0.0, 10.0), 1.0, cfg, icdf,
-                             RangeControl::Thresholding, t, 7);
+    FxpInversionRng rng(cfg, icdf, 7);
     auto pmf = std::make_shared<EnumeratedNoisePmf>(cfg, icdf);
     ThresholdingOutputModel model(pmf, 32, t);
     HistogramEstimator est(model, 300);
 
+    const int64_t x = std::llround(7.5 / rng.quantizer().delta());
     std::vector<int64_t> reports;
-    for (int i = 0; i < 40000; ++i) {
-        double y = mech.noise(7.5).value;
+    for (int i = 0; i < 40000; ++i)
         reports.push_back(
-            static_cast<int64_t>(std::llround(y / mech.delta())));
-    }
+            std::clamp<int64_t>(x + rng.sampleIndex(), -t, 32 + t));
     auto pi = est.estimate(reports);
     double near = 0.0;
     for (int64_t i = 21; i <= 27; ++i) // true index 24

@@ -233,7 +233,7 @@ smallFleet()
     fc.block_nodes = 256;
     CohortConfig thr;
     thr.name = "thr";
-    thr.mechanism = CohortMechanism::Thresholding;
+    thr.mechanism_name = "thresholding";
     thr.params = p;
     thr.nodes = 1500;
     thr.reports_per_node = 3;
@@ -241,7 +241,7 @@ smallFleet()
     thr.analyze_loss = false;
     CohortConfig res;
     res.name = "res";
-    res.mechanism = CohortMechanism::Resampling;
+    res.mechanism_name = "resampling";
     res.params = p;
     res.nodes = 1500;
     res.reports_per_node = 3;

@@ -4,12 +4,14 @@
  * claims. The naive fixed-point baseline has infinite worst-case
  * loss (Section III-A3); resampling and thresholding with properly
  * chosen thresholds keep it bounded (Section III-B); the ideal
- * continuous mechanism would have loss exactly eps.
+ * continuous mechanism would have loss exactly eps. Post-processing
+ * never increases the loss (Section II-B).
  */
 
 #include <cmath>
 #include <limits>
 #include <memory>
+#include <random>
 #include <tuple>
 
 #include <gtest/gtest.h>
@@ -249,6 +251,111 @@ INSTANTIATE_TEST_SUITE_P(
         std::make_tuple(17, 0.5, 1.0 / 64.0, 2.0),
         std::make_tuple(17, 0.5, 1.0 / 16.0, 2.0),
         std::make_tuple(20, 0.5, 1.0 / 32.0, 2.0)));
+
+/**
+ * Data-processing inequality: for any post-processing channel
+ * applied to a mechanism's outputs, the worst-case loss of the
+ * composed system is at most the mechanism's. Verified over random
+ * stochastic channels.
+ */
+class PostProcessedModel : public DiscreteOutputModel
+{
+  public:
+    PostProcessedModel(const DiscreteOutputModel &base,
+                       std::vector<std::vector<double>> channel)
+        : base_(base), channel_(std::move(channel))
+    {
+    }
+
+    int64_t span() const override { return base_.span(); }
+    int64_t outputLo() const override { return 0; }
+    int64_t
+    outputHi() const override
+    {
+        return static_cast<int64_t>(channel_[0].size()) - 1;
+    }
+    std::string name() const override { return "post-processed"; }
+
+    double
+    prob(int64_t j, int64_t i) const override
+    {
+        double p = 0.0;
+        for (int64_t y = base_.outputLo(); y <= base_.outputHi();
+             ++y) {
+            size_t row = static_cast<size_t>(y - base_.outputLo());
+            p += base_.prob(y, i) * channel_[row][
+                static_cast<size_t>(j)];
+        }
+        return p;
+    }
+
+  private:
+    const DiscreteOutputModel &base_;
+    std::vector<std::vector<double>> channel_;
+};
+
+TEST(DataProcessing, PostProcessingNeverIncreasesLoss)
+{
+    FxpLaplaceConfig cfg;
+    cfg.uniform_bits = 12;
+    cfg.output_bits = 10;
+    cfg.delta = 10.0 / 32.0;
+    cfg.lambda = 20.0;
+    auto pmf = std::make_shared<FxpLaplacePmf>(cfg);
+    ThresholdingOutputModel base(pmf, 32, 80);
+    double base_loss =
+        PrivacyLossAnalyzer::analyze(base).worst_case_loss;
+
+    std::mt19937_64 rng(3);
+    std::uniform_real_distribution<double> unif(0.0, 1.0);
+    size_t in_bins = static_cast<size_t>(base.outputHi() -
+                                         base.outputLo()) + 1;
+    for (int trial = 0; trial < 3; ++trial) {
+        // Random stochastic channel onto 8 buckets.
+        std::vector<std::vector<double>> channel(
+            in_bins, std::vector<double>(8));
+        for (auto &row : channel) {
+            double sum = 0.0;
+            for (auto &v : row) {
+                v = unif(rng);
+                sum += v;
+            }
+            for (auto &v : row)
+                v /= sum;
+        }
+        PostProcessedModel processed(base, std::move(channel));
+        double loss =
+            PrivacyLossAnalyzer::analyze(processed).worst_case_loss;
+        EXPECT_LE(loss, base_loss + 1e-9) << "trial=" << trial;
+    }
+}
+
+TEST(DataProcessing, DeterministicBucketingAlsoBounded)
+{
+    // A deterministic coarsening (e.g. reporting deciles instead of
+    // values) is a special channel: loss still bounded by the base.
+    FxpLaplaceConfig cfg;
+    cfg.uniform_bits = 12;
+    cfg.output_bits = 10;
+    cfg.delta = 10.0 / 32.0;
+    cfg.lambda = 20.0;
+    auto pmf = std::make_shared<FxpLaplacePmf>(cfg);
+    ResamplingOutputModel base(pmf, 32, 100);
+    double base_loss =
+        PrivacyLossAnalyzer::analyze(base).worst_case_loss;
+
+    size_t in_bins = static_cast<size_t>(base.outputHi() -
+                                         base.outputLo()) + 1;
+    std::vector<std::vector<double>> channel(
+        in_bins, std::vector<double>(10, 0.0));
+    for (size_t y = 0; y < in_bins; ++y)
+        channel[y][y * 10 / in_bins] = 1.0;
+    PostProcessedModel processed(base, std::move(channel));
+    double loss =
+        PrivacyLossAnalyzer::analyze(processed).worst_case_loss;
+    EXPECT_LE(loss, base_loss + 1e-9);
+    EXPECT_GT(loss, 0.0);
+}
 
 } // anonymous namespace
 } // namespace ulpdp

@@ -520,7 +520,7 @@ TEST(GlobalTelemetry, FleetRunPublishesCohortCounters)
     fc.block_nodes = 64;
     CohortConfig c;
     c.name = "witness";
-    c.mechanism = CohortMechanism::Thresholding;
+    c.mechanism_name = "thresholding";
     c.params = p;
     c.nodes = 200;
     c.reports_per_node = 3;
@@ -554,7 +554,7 @@ TEST(GlobalTelemetry, FleetFingerprintImmuneToTelemetry)
     fc.block_nodes = 128;
     CohortConfig thr;
     thr.name = "thr";
-    thr.mechanism = CohortMechanism::Thresholding;
+    thr.mechanism_name = "thresholding";
     thr.params = p;
     thr.nodes = 1000;
     thr.reports_per_node = 4;
@@ -562,7 +562,7 @@ TEST(GlobalTelemetry, FleetFingerprintImmuneToTelemetry)
     thr.analyze_loss = false;
     CohortConfig res = thr;
     res.name = "res";
-    res.mechanism = CohortMechanism::Resampling;
+    res.mechanism_name = "resampling";
     res.budget_per_node = 0.0;
     fc.cohorts = {thr, res};
     FleetRunner runner(fc);
