@@ -20,8 +20,8 @@
  * the slot array, the count-min rows, the quantile buckets. Integer
  * addition is associative and commutative, so the merged state is
  * independent of how blocks were partitioned across workers AND of
- * the merge order -- stronger than the fleet's fixed-block-order
- * argument for its floating-point accumulators, and what makes the
+ * the merge order (the fleet tallies its released values the same
+ * way, fleet/grid_tally.h), and what makes the
  * decoded estimates bit-identical across thread counts: identical
  * integer inputs into a deterministic double-precision decode give
  * identical bits. (The post-epoch merge still walks workers in index

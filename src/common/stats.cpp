@@ -21,6 +21,38 @@ RunningStats::addRepeated(double x, uint64_t n)
     merge(point);
 }
 
+RunningStats
+RunningStats::fromMoments(uint64_t count, double mean, double m2,
+                          double min, double max)
+{
+    RunningStats s;
+    if (count == 0)
+        return s;
+    s.count_ = count;
+    s.mean_ = mean;
+    s.m2_ = m2;
+    s.min_ = min;
+    s.max_ = max;
+    return s;
+}
+
+RunningStats
+RunningStats::fromGridSums(uint64_t count, __int128 sum,
+                           __int128 sum_sq, double step, int64_t lo,
+                           int64_t hi)
+{
+    if (count == 0)
+        return RunningStats();
+    const long double h = step;
+    const long double mean =
+        h * static_cast<long double>(sum) / static_cast<long double>(count);
+    const long double m2 = h * h * centeredSquares(sum, sum_sq, count);
+    return fromMoments(count, static_cast<double>(mean),
+                       static_cast<double>(m2),
+                       static_cast<double>(lo) * step,
+                       static_cast<double>(hi) * step);
+}
+
 void
 RunningStats::merge(const RunningStats &other)
 {
@@ -67,6 +99,23 @@ double
 RunningStats::stddev() const
 {
     return std::sqrt(variance());
+}
+
+long double
+centeredSquares(__int128 sum, __int128 sum_sq, uint64_t count)
+{
+    if (count == 0)
+        return 0.0L;
+    // sum = q * count + r with |r| < count, so
+    // sum^2 / count = q * (sum + r) + r^2 / count exactly.
+    const __int128 n = count;
+    const __int128 q = sum / n;
+    const __int128 r = sum - q * n;
+    const __int128 whole = sum_sq - q * (sum + r);
+    const long double rr = static_cast<long double>(r);
+    const long double m2 = static_cast<long double>(whole) -
+                           rr * rr / static_cast<long double>(count);
+    return m2 > 0.0L ? m2 : 0.0L;
 }
 
 namespace batch {

@@ -46,6 +46,30 @@ class RunningStats
      */
     void addRepeated(double x, uint64_t n);
 
+    /**
+     * Accumulator holding @p count samples with the given mean, sum
+     * of squared deviations @p m2 and extremes, as if they had been
+     * add()ed one by one. The entry point for callers that derive the
+     * moments exactly (fromGridSums(), the fleet's integer fold)
+     * instead of sample by sample. A zero count yields the empty
+     * accumulator.
+     */
+    static RunningStats fromMoments(uint64_t count, double mean,
+                                    double m2, double min, double max);
+
+    /**
+     * Accumulator of @p count samples y_i * @p step on an integer
+     * grid, from the exact integer sums @p sum = sum(y_i) and
+     * @p sum_sq = sum(y_i^2) and the smallest and largest index
+     * (@p lo, @p hi). Mean and M2 are evaluated from the integers in
+     * extended precision and rounded once each, so they sit within
+     * an ulp of the exact moments whatever order the samples came
+     * in -- a Welford pass rounds at every sample, in sample order.
+     */
+    static RunningStats fromGridSums(uint64_t count, __int128 sum,
+                                     __int128 sum_sq, double step,
+                                     int64_t lo, int64_t hi);
+
     /** Merge another accumulator into this one (parallel Welford). */
     void merge(const RunningStats &other);
 
@@ -84,6 +108,15 @@ class RunningStats
     double min_ = std::numeric_limits<double>::infinity();
     double max_ = -std::numeric_limits<double>::infinity();
 };
+
+/**
+ * Sum of squared deviations from the mean of @p count integers, from
+ * their exact sums @p sum and @p sum_sq: sum_sq - sum^2 / count with
+ * the integer part computed exactly and only the remainder r^2 / count
+ * (r = sum mod count) divided in extended precision. 0 for count 0.
+ */
+long double centeredSquares(__int128 sum, __int128 sum_sq,
+                            uint64_t count);
 
 /**
  * Batch statistics over a materialised vector of samples.

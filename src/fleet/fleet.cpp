@@ -16,6 +16,7 @@
 #include "core/mechanism_registry.h"
 #include "core/privacy_loss.h"
 #include "core/threshold_calc.h"
+#include "fleet/grid_tally.h"
 #include "rng/batch_sampler.h"
 #include "rng/fxp_laplace.h"
 #include "rng/ideal_laplace.h"
@@ -356,6 +357,27 @@ struct FleetRunner::CohortPlan
                  "has no output grid under the 'ideal' mechanism; "
                  "disabled", cfg.name.c_str());
         }
+
+        // Exact accumulation window: every output index a report can
+        // take. Range control confines outputs to the threshold
+        // window; the naive yardstick reaches the pipeline's largest
+        // magnitude (URNG index 1; the pipeline is monotone) either
+        // side of the range. The agg sketch window is the same
+        // support (the mechanism's exact output model), so with agg
+        // on the two tallies share one buffer.
+        if (agg_on) {
+            slot_lo = agg_out_lo;
+            slot_span = agg_span;
+        } else if (controlled) {
+            slot_lo = win_lo;
+            slot_span = static_cast<size_t>(win_hi - win_lo + 1);
+        } else if (!mech.ideal) {
+            int64_t reach = proto.pipeline(1, 1);
+            slot_lo = lo_index - reach;
+            slot_span =
+                static_cast<size_t>(hi_index - lo_index + 2 * reach + 1);
+        }
+        mid_slot = static_cast<int64_t>(std::llround(mid_value / delta));
     }
 
     /**
@@ -421,6 +443,14 @@ struct FleetRunner::CohortPlan
     uint32_t agg_rows = 1;
     /** Shared precomputed channel pseudo-inverse. */
     std::shared_ptr<const agg::FrequencyDecoder> decoder;
+
+    /** Exact accumulation window: absolute output index of slot 0
+     *  and slot count (0 for Ideal cohorts, which have no grid). */
+    int64_t slot_lo = 0;
+    size_t slot_span = 0;
+    /** Grid slot nearest the range midpoint, the report a node
+     *  without any fresh report replays. */
+    int64_t mid_slot = 0;
 };
 
 FleetRunner::CohortPlan::Mech
@@ -496,20 +526,43 @@ FleetRunner::CohortPlan::resolveMechanism(const CohortConfig &c)
 struct alignas(64) FleetRunner::WorkerScratch
 {
     /**
-     * One cohort's private aggregation shard: the worker's mergeable
-     * sketch plus the per-block slot-count delta buffer the hot loop
-     * bumps. The delta is folded into the sketch only when a block
-     * completes, mirroring the BlockAccum discard protocol -- a batch
-     * integrity bail rezeroes the delta before the scalar redo, so a
-     * redone block can never double-count. Heap-owned per cohort, so
-     * one slab's counters never share a line with another worker's.
+     * One cohort's private accumulation shard: the exact report tally
+     * of a grid cohort (holding the worker's agg sketch when agg is
+     * on), or an Ideal cohort's histogram. Both are integer counts,
+     * so shards merge in any order. Heap-owned per cohort, so one
+     * slab's counters never share a line with another worker's.
      */
-    struct AggSlab
+    struct CohortSlab
     {
-        agg::CohortSketch sketch;
-        std::vector<uint64_t> delta;
-        /** Reports whose output index missed the sketch window. */
-        uint64_t dropped = 0;
+        GridTally tally;
+        std::optional<Histogram> ideal_hist;
+
+        explicit CohortSlab(const CohortPlan &plan)
+        {
+            const CohortConfig &cfg = plan.cfg;
+            if (plan.mech.ideal)
+                return;
+            if (plan.agg_on)
+                tally = GridTally(
+                    agg::CohortSketch(
+                        cfg.agg, plan.agg_span, plan.agg_rows,
+                        static_cast<double>(plan.agg_out_lo) *
+                            plan.delta,
+                        plan.delta),
+                    plan.slot_lo, cfg.reports_per_node);
+            else
+                tally = GridTally(plan.slot_lo, plan.slot_span,
+                                  cfg.reports_per_node);
+        }
+
+        /** Zero the counts for a new epoch. */
+        void clear(const CohortPlan &plan)
+        {
+            tally.clear();
+            if (plan.mech.ideal)
+                ideal_hist.emplace(plan.hist_lo, plan.hist_hi,
+                                   plan.cfg.histogram_bins);
+        }
     };
 
     std::vector<int64_t> noise;  // scalar path, one node's batch
@@ -520,9 +573,9 @@ struct alignas(64) FleetRunner::WorkerScratch
     uint32_t rng_cohort = 0;
     std::optional<BatchSampler> sampler;
     uint32_t sampler_cohort = 0;
-    /** Per-cohort aggregation shards (null for agg-off cohorts);
-     *  cleared per epoch, merged post-epoch in worker-index order. */
-    std::vector<std::unique_ptr<AggSlab>> agg;
+    /** Per-cohort accumulation shards; cleared per epoch, merged
+     *  post-epoch. */
+    std::vector<std::unique_ptr<CohortSlab>> slabs;
     /** Per-epoch telemetry deltas, flushed by the main thread after
      *  the merge (never a shared atomic on the hot path). */
     uint64_t clones = 0;
@@ -531,25 +584,42 @@ struct alignas(64) FleetRunner::WorkerScratch
 
 namespace {
 
-/** Private accumulation slab of one block. One thread writes it; the
- *  main thread merges slabs in block-index order afterwards. The
- *  64-byte alignment keeps the hot tail counters of adjacent slabs in
- *  a vector off each other's cache lines -- without it, two workers
- *  finishing neighbouring blocks ping-pong the boundary line on every
- *  counter bump. */
+/** One node's output-index sum and extremes over its reports. */
+struct NodeIndices
+{
+    int64_t sum = 0;
+    int64_t lo = std::numeric_limits<int64_t>::max();
+    int64_t hi = std::numeric_limits<int64_t>::min();
+
+    void add(int64_t y)
+    {
+        sum += y;
+        lo = std::min(lo, y);
+        hi = std::max(hi, y);
+    }
+};
+
+/**
+ * Per-block counters and per-node terms: fixed size, no heap. One
+ * thread writes a block's slab; the fold merges slabs in block-index
+ * order, which fixes the rounding of the few floating-point fields
+ * (the true-reading Welford, the quantization-residual sums and the
+ * Ideal side path). Per-report integer state lives in the worker's
+ * CohortSlab instead. The 64-byte alignment keeps the tail fields of
+ * adjacent slabs in a vector off each other's cache lines.
+ *
+ * Grid cohorts keep, per node n with true reading x_n, clamped input
+ * index xi_n, report index sum S_n over its R reports and residual
+ * r_n = xi_n * Delta - x_n, the terms the fold turns into the exact
+ * error moments (each report's error is (y - xi_n) * Delta + r_n):
+ *   noise       = sum_n (S_n - R xi_n)       = sum (y - xi)
+ *   cross       = sum_n xi_n (R xi_n - 2 S_n) = sum (y - xi)^2 - sum y^2
+ *   resid       = sum_n r_n
+ *   resid_noise = sum_n r_n (S_n - R xi_n)
+ *   resid_sq    = sum_n r_n^2
+ */
 struct alignas(64) BlockAccum
 {
-    BlockAccum(double hist_lo, double hist_hi, size_t bins,
-               uint32_t reports_per_node)
-        : hist(hist_lo, hist_hi, bins),
-          trial_sum(reports_per_node, 0.0)
-    {}
-
-    Histogram hist;
-    RunningStats released;
-    RunningStats error;
-    RunningStats true_vals;
-    std::vector<double> trial_sum;
     uint64_t samples = 0;
     uint64_t overflows = 0;
     uint64_t fresh = 0;
@@ -557,6 +627,69 @@ struct alignas(64) BlockAccum
     uint64_t exhausted = 0;
     uint64_t integrity = 0;
     uint64_t checksum = 0;
+    RunningStats true_vals;
+
+    __int128 noise = 0;
+    __int128 cross = 0;
+    double resid = 0.0;
+    double resid_noise = 0.0;
+    double resid_sq = 0.0;
+    /** Extremes of (released - true) over the block's reports. */
+    double err_lo = std::numeric_limits<double>::infinity();
+    double err_hi = -std::numeric_limits<double>::infinity();
+
+    /** Ideal cohorts: per-report Welford side path. */
+    RunningStats ideal_released;
+    RunningStats ideal_error;
+
+    /** Fold one grid node with true reading @p x, input index
+     *  @p xi and the output indices @p ys of its @p R reports. */
+    void addGridNode(double x, int64_t xi, const NodeIndices &ys,
+                     uint32_t R, double delta)
+    {
+        const int64_t sum = ys.sum;
+        const int64_t d = sum - static_cast<int64_t>(R) * xi;
+        const double r = static_cast<double>(xi) * delta - x;
+        noise += d;
+        cross += static_cast<__int128>(xi) *
+                 (static_cast<int64_t>(R) * xi - 2 * sum);
+        resid += r;
+        resid_noise += r * static_cast<double>(d);
+        resid_sq += r * r;
+        err_lo = std::min(err_lo, static_cast<double>(ys.lo) * delta - x);
+        err_hi = std::max(err_hi, static_cast<double>(ys.hi) * delta - x);
+    }
+
+    /** Fold another block's slab in (block-index order). */
+    void merge(const BlockAccum &o)
+    {
+        samples += o.samples;
+        overflows += o.overflows;
+        fresh += o.fresh;
+        replays += o.replays;
+        exhausted += o.exhausted;
+        integrity += o.integrity;
+        checksum += o.checksum;
+        true_vals.merge(o.true_vals);
+        noise += o.noise;
+        cross += o.cross;
+        resid += o.resid;
+        resid_noise += o.resid_noise;
+        resid_sq += o.resid_sq;
+        err_lo = std::min(err_lo, o.err_lo);
+        err_hi = std::max(err_hi, o.err_hi);
+        ideal_released.merge(o.ideal_released);
+        ideal_error.merge(o.ideal_error);
+    }
+
+    /** Count the fresh and replayed reports of @p nodes nodes. */
+    void addReports(uint64_t nodes, uint32_t fresh_per_node, uint32_t R)
+    {
+        fresh += nodes * fresh_per_node;
+        replays += nodes * (R - fresh_per_node);
+        if (fresh_per_node < R)
+            exhausted += nodes;
+    }
 };
 
 /** One claimable unit of work: a block of consecutive nodes. */
@@ -566,6 +699,8 @@ struct WorkItem
     uint64_t node_lo;
     uint64_t node_hi;
     BlockAccum *accum;
+    /** Ideal cohorts: the block's per-trial released-value sums. */
+    double *ideal_trial;
 };
 
 /**
@@ -604,6 +739,91 @@ synthValue(uint64_t data_seed, double mu, double sigma, double lo,
     double z = std::sqrt(-2.0 * std::log(u1)) *
                std::cos(2.0 * 3.14159265358979323846 * u2);
     return std::clamp(mu + sigma * z, lo, hi);
+}
+
+/**
+ * Released and error moments, histogram and trial estimates of a grid
+ * cohort whose every report is an output index y on the Delta grid:
+ * from the merged exact tally and the block-merged per-node terms. All
+ * integer sums are exact; each moment is rounded once, from extended
+ * precision. Expects true_stats and nodes already set.
+ */
+void
+foldGrid(CohortResult &res, const GridTally &tally,
+         const BlockAccum &tot, uint32_t R, double delta)
+{
+    const uint64_t n = res.nodes * R;
+    const std::vector<uint64_t> slots = tally.slotTotals();
+    const std::vector<int64_t> &trial_sums = tally.trialSums();
+    __int128 sum = 0;
+    __int128 sum_sq = 0;
+    uint64_t seen = 0;
+    int64_t y_lo = 0;
+    int64_t y_hi = 0;
+    for (size_t s = 0; s < slots.size(); ++s) {
+        const uint64_t c = slots[s];
+        if (c == 0)
+            continue;
+        const int64_t y = tally.slotLo() + static_cast<int64_t>(s);
+        if (seen == 0)
+            y_lo = y;
+        y_hi = y;
+        seen += c;
+        res.released_hist.add(static_cast<double>(y) * delta, c);
+        sum += static_cast<__int128>(c) * y;
+        sum_sq += static_cast<__int128>(c) * y * y;
+    }
+    ULPDP_ASSERT(seen == n);
+    res.released_stats =
+        RunningStats::fromGridSums(n, sum, sum_sq, delta, y_lo, y_hi);
+
+    const long double h = delta;
+    const long double nodes = static_cast<long double>(res.nodes);
+    res.trial_estimate.resize(R);
+    for (uint32_t t = 0; t < R; ++t)
+        res.trial_estimate[t] = static_cast<double>(
+            h * static_cast<long double>(trial_sums[t]) / nodes);
+
+    // Each error is (y - xi) * Delta + r: an exact integer part plus
+    // the node's quantization residual. With A = sum (y - xi),
+    // B = R sum r, C = sum r (S - R xi) and E = R sum r^2, the
+    // centered second moment is
+    //   Delta^2 (Q - A^2/n) + 2 Delta (C - A B/n) + (E - B^2/n),
+    // where Q = sum (y - xi)^2 and the first bracket is exact.
+    const long double cnt = static_cast<long double>(n);
+    const long double a = static_cast<long double>(tot.noise);
+    const long double b = R * static_cast<long double>(tot.resid);
+    const long double c = tot.resid_noise;
+    const long double e = R * static_cast<long double>(tot.resid_sq);
+    const long double mean = (h * a + b) / cnt;
+    long double m2 = h * h * centeredSquares(tot.noise,
+                                             sum_sq + tot.cross, n) +
+                     2.0L * h * (c - a * b / cnt) + (e - b * b / cnt);
+    res.error_stats = RunningStats::fromMoments(
+        n, static_cast<double>(mean),
+        static_cast<double>(std::max(m2, 0.0L)), tot.err_lo,
+        tot.err_hi);
+}
+
+/**
+ * Moments, histogram and trial estimates of a grid cohort whose
+ * budget affords no fresh report: every report replays the range
+ * midpoint @p mid, so all of them follow from the true readings.
+ * Expects true_stats and nodes already set.
+ */
+void
+foldMidpoint(CohortResult &res, uint32_t R, double mid)
+{
+    const uint64_t n = res.nodes * R;
+    const RunningStats &x = res.true_stats;
+    res.released_hist.add(mid, n);
+    res.released_stats = RunningStats::fromMoments(n, mid, 0.0, mid, mid);
+    res.trial_estimate.assign(R, mid);
+    res.error_stats = RunningStats::fromMoments(
+        n, mid - x.mean(),
+        static_cast<double>(R) * x.variance() *
+            static_cast<double>(x.count()),
+        mid - x.max(), mid - x.min());
 }
 
 } // anonymous namespace
@@ -713,28 +933,30 @@ FleetRunner::run(unsigned num_threads)
         num_threads = hardwareThreads();
 
     // Per-cohort block slabs, pre-sized so workers never allocate
-    // shared state; materialized matrices likewise (each block writes
-    // disjoint columns).
+    // shared state; materialized matrices and Ideal per-block trial
+    // sums likewise (each block writes disjoint cells).
     std::vector<std::vector<BlockAccum>> accums(plans_.size());
     std::vector<std::vector<double>> matrices(plans_.size());
+    std::vector<std::vector<double>> ideal_trials(plans_.size());
     std::vector<WorkItem> items;
     for (size_t c = 0; c < plans_.size(); ++c) {
         CohortPlan &plan = plans_[c];
+        const uint32_t R = plan.cfg.reports_per_node;
         uint64_t nblocks = plan.numBlocks(config_.block_nodes);
-        accums[c].reserve(nblocks);
+        accums[c].resize(nblocks);
         if (plan.cfg.materialize)
-            matrices[c].assign(plan.nodes *
-                                   plan.cfg.reports_per_node,
-                               0.0);
+            matrices[c].assign(plan.nodes * R, 0.0);
+        if (plan.mech.ideal)
+            ideal_trials[c].assign(nblocks * R, 0.0);
         for (uint64_t b = 0; b < nblocks; ++b) {
-            accums[c].emplace_back(plan.hist_lo, plan.hist_hi,
-                                   plan.cfg.histogram_bins,
-                                   plan.cfg.reports_per_node);
             uint64_t lo = b * config_.block_nodes;
             uint64_t hi = std::min(plan.nodes,
                                    lo + config_.block_nodes);
+            double *trial = plan.mech.ideal
+                ? ideal_trials[c].data() + b * R
+                : nullptr;
             items.push_back(WorkItem{static_cast<uint32_t>(c), lo, hi,
-                                     &accums[c].back()});
+                                     &accums[c][b], trial});
         }
     }
 
@@ -744,296 +966,228 @@ FleetRunner::run(unsigned num_threads)
     // static block -> slab mapping.
     auto processBlock = [&](const WorkItem &item, WorkerScratch &ws) {
         constexpr size_t W = TausBank::kMaxLanes;
-        std::vector<int64_t> &noise = ws.noise;
-        std::vector<int64_t> &rect = ws.rect;
-        std::vector<BatchSampler::Window> &windows = ws.windows;
-        std::optional<FxpLaplaceRng> &rng = ws.rng;
-        uint32_t &rng_cohort = ws.rng_cohort;
+        const CohortPlan &plan = plans_[item.cohort];
+        const CohortConfig &cfg = plan.cfg;
+        BlockAccum &acc = *item.accum;
+        WorkerScratch::CohortSlab &slab = *ws.slabs[item.cohort];
+        double *matrix = cfg.materialize
+            ? matrices[item.cohort].data()
+            : nullptr;
 
-        {
-            const CohortPlan &plan = plans_[item.cohort];
-            const CohortConfig &cfg = plan.cfg;
-            BlockAccum &acc = *item.accum;
-            double *matrix = cfg.materialize
-                ? matrices[item.cohort].data()
-                : nullptr;
+        const uint32_t R = cfg.reports_per_node;
+        const uint32_t fresh = plan.fresh_per_node;
 
-            const uint32_t R = cfg.reports_per_node;
-            const uint32_t fresh = plan.fresh_per_node;
-            const bool fxp = !plan.mech.ideal;
+        auto trueValue = [&](uint64_t node, uint64_t seed) {
+            return cfg.values.empty()
+                ? synthValue(FleetSeeder::subSeed(seed, kDataSalt),
+                             plan.data_mean, plan.data_std,
+                             cfg.params.range.lo, cfg.params.range.hi)
+                : cfg.values[node];
+        };
+        // Digest (and materialize) one released report.
+        auto release = [&](uint64_t node, uint32_t t, double released) {
+            acc.checksum += reportDigest(node, t, released);
+            if (matrix != nullptr)
+                matrix[static_cast<uint64_t>(t) * plan.nodes + node] =
+                    released;
+        };
+        auto inputIndex = [&](double x) {
+            int64_t xi = static_cast<int64_t>(std::llround(x / plan.delta));
+            return std::clamp(xi, plan.lo_index, plan.hi_index);
+        };
 
-            // Streaming aggregation: bump per-block slot deltas in
-            // the worker's private buffer and fold them into its
-            // sketch only when the block completes (so the batch
-            // bail-and-redo protocol cannot double-count). One
-            // predictable branch + one counter bump per report when
-            // enabled; a never-taken branch when not.
-            WorkerScratch::AggSlab *slab = plan.agg_on
-                ? ws.agg[item.cohort].get()
-                : nullptr;
-            uint64_t *agg_delta = nullptr;
-            const uint64_t agg_dropped_before =
-                slab != nullptr ? slab->dropped : 0;
-            if (slab != nullptr) {
-                std::fill(slab->delta.begin(), slab->delta.end(),
-                          uint64_t(0));
-                agg_delta = slab->delta.data();
-            }
-            const int64_t agg_lo = plan.agg_out_lo;
-            const size_t agg_span = plan.agg_span;
-            const size_t agg_stride =
-                plan.agg_rows > 1 ? agg_span : 0;
-            auto aggRecord = [&](uint32_t t, int64_t yi) {
-                size_t s = static_cast<size_t>(yi - agg_lo);
-                if (s < agg_span) [[likely]] {
-                    ++agg_delta[static_cast<size_t>(t) * agg_stride +
-                                s];
-                } else {
-                    ++slab->dropped;
-                }
-            };
-            // Registry-lowered execution shape: the loop never sees
-            // the mechanism's name, only these two booleans.
-            const bool truncated = plan.mech.truncated;
-            const bool clamp = plan.mech.clamp;
-
-            // -- Batch path: fill the 16-lane bank with consecutive
-            // nodes and draw every fresh report of the group in one
-            // rect. Lane l is bit-identical to the scalar stream of
-            // node lo + l, so the accumulation below (still strictly
-            // in (node, trial) order) produces the exact scalar
-            // numbers.
-            if (plan.batch_ok &&
-                !g_force_scalar_blocks.load(
-                    std::memory_order_relaxed)) {
-                // Cohort-cached sampler: constructing one per block
-                // copied the table's shared_ptr, and the refcount RMW
-                // on that shared control-block line was cross-core
-                // traffic on every block claim. The cached instance
-                // keeps a stable reference; the hot loop below only
-                // ever reads the table through a plain pointer.
-                if (!ws.sampler ||
-                    ws.sampler_cohort != item.cohort) {
-                    ws.sampler.emplace(
-                        plan.table,
-                        plan.proto.config().uniform_bits,
-                        plan.proto.quantizer().maxIndex(),
-                        plan.proto.config().integrity_checks);
-                    ws.sampler_cohort = item.cohort;
-                }
-                BatchSampler &bs = *ws.sampler;
-                rect.resize(W * static_cast<size_t>(fresh));
-                uint64_t seeds[W];
-                double xs[W];
-                int64_t xis[W];
-                bool ok = true;
-                for (uint64_t lo = item.node_lo; lo < item.node_hi;
-                     lo += W) {
-                    size_t lanes = static_cast<size_t>(
-                        std::min<uint64_t>(W, item.node_hi - lo));
-                    for (size_t l = 0; l < lanes; ++l) {
-                        uint64_t node = lo + l;
-                        seeds[l] =
-                            seeder_.nodeSeed(plan.index, node);
-                        xs[l] = cfg.values.empty()
-                            ? synthValue(
-                                  FleetSeeder::subSeed(seeds[l],
-                                                       kDataSalt),
-                                  plan.data_mean, plan.data_std,
-                                  cfg.params.range.lo,
-                                  cfg.params.range.hi)
-                            : cfg.values[node];
-                        int64_t xi = static_cast<int64_t>(
-                            std::llround(xs[l] / plan.delta));
-                        xis[l] = std::clamp(xi, plan.lo_index,
-                                            plan.hi_index);
-                        if (truncated)
-                            windows[l] = {plan.win_lo - xis[l],
-                                          plan.win_hi - xis[l]};
-                    }
-                    bs.seedLanes(seeds, lanes);
-                    ok = truncated
-                        ? bs.sampleTruncatedRect(windows.data(),
-                                                 rect.data(), fresh)
-                        : bs.sampleRect(rect.data(), fresh);
-                    if (!ok)
-                        break;
-                    for (size_t l = 0; l < lanes; ++l) {
-                        uint64_t node = lo + l;
-                        acc.true_vals.add(xs[l]);
-                        if (fresh < R)
-                            ++acc.exhausted;
-                        double last = 0.0;
-                        int64_t last_yi = 0;
-                        for (uint32_t t = 0; t < R; ++t) {
-                            double released;
-                            if (t < fresh) {
-                                int64_t yi =
-                                    xis[l] +
-                                    rect[static_cast<size_t>(t) *
-                                             lanes + l];
-                                if (clamp)
-                                    yi = std::clamp(yi, plan.win_lo,
-                                                    plan.win_hi);
-                                released =
-                                    static_cast<double>(yi) *
-                                    plan.delta;
-                                last = released;
-                                last_yi = yi;
-                                ++acc.fresh;
-                            } else {
-                                // Budget exhausted: replay the last
-                                // fresh report (fresh >= 1 on this
-                                // path, so one always exists).
-                                released = last;
-                                ++acc.replays;
-                            }
-                            if (agg_delta != nullptr)
-                                aggRecord(t, last_yi);
-                            acc.hist.add(released);
-                            acc.released.add(released);
-                            acc.error.add(released - xs[l]);
-                            acc.trial_sum[t] += released;
-                            acc.checksum +=
-                                reportDigest(node, t, released);
-                            if (matrix != nullptr)
-                                matrix[static_cast<uint64_t>(t) *
-                                           plan.nodes + node] =
-                                    released;
-                        }
-                    }
-                    acc.samples += lanes * fresh;
-                }
-                if (ok) {
-                    if (agg_delta != nullptr)
-                        slab->sketch.ingestDelta(agg_delta);
-                    return;
-                }
-                // A comparator tripped, or a window holds no URNG
-                // state: discard the whole block and redo it scalar.
-                // Every node restarts from its seed, so the redo is
-                // bit-identical to never having batched, and the
-                // scalar integrity path quarantines (or clamps) with
-                // the exact per-draw semantics. The agg delta is
-                // discarded with the slab for the same reason.
-                acc = BlockAccum(plan.hist_lo, plan.hist_hi,
-                                 cfg.histogram_bins, R);
-                ++ws.fallbacks;
-                if (agg_delta != nullptr) {
-                    std::fill(slab->delta.begin(), slab->delta.end(),
-                              uint64_t(0));
-                    slab->dropped = agg_dropped_before;
-                }
-            }
-
-            // -- Scalar path: Ideal cohorts, fresh == 0 cohorts,
-            // tableless configurations, and batch-fallback redos.
-            const bool batched = plan.mech.naive || clamp;
-            if (fxp && (!rng || rng_cohort != item.cohort ||
-                        rng->integrityFault())) {
-                rng.emplace(plan.proto);
-                rng_cohort = item.cohort;
-                ++ws.clones;
-            }
-            uint64_t drawn_before = 0;
-            uint64_t integ_before = 0;
-            if (fxp) {
-                drawn_before = rng->samplesDrawn();
-                integ_before = rng->integrityDetections();
-                noise.resize(batched ? fresh : 0);
-            }
-
+        // -- Ideal yardstick: continuous values, no output grid. A
+        // per-report Welford side path, merged in block order, plus
+        // the worker's (integer, order-free) histogram.
+        if (plan.mech.ideal) {
+            Histogram &hist = *slab.ideal_hist;
             for (uint64_t node = item.node_lo; node < item.node_hi;
                  ++node) {
                 uint64_t seed = seeder_.nodeSeed(plan.index, node);
-                double x = cfg.values.empty()
-                    ? synthValue(FleetSeeder::subSeed(seed, kDataSalt),
-                                 plan.data_mean, plan.data_std,
-                                 cfg.params.range.lo,
-                                 cfg.params.range.hi)
-                    : cfg.values[node];
+                double x = trueValue(node, seed);
                 acc.true_vals.add(x);
-                if (fresh < R)
-                    ++acc.exhausted;
-
-                int64_t xi = 0;
-                if (fxp) {
-                    xi = static_cast<int64_t>(
-                        std::llround(x / plan.delta));
-                    xi = std::clamp(xi, plan.lo_index, plan.hi_index);
-                    rng->urng() = Tausworthe(seed);
-                    if (batched && fresh > 0)
-                        rng->sampleBatch(noise.data(), fresh);
-                }
-                std::optional<IdealLaplace> ideal;
-                if (!fxp)
-                    ideal.emplace(plan.lambda, seed);
-
-                std::optional<double> cached;
-                // Output index mirror of `cached` for the agg slot
-                // stream; the midpoint fallback uses the nearest grid
-                // slot of the released midpoint value.
-                int64_t cached_yi = static_cast<int64_t>(
-                    std::llround(plan.mid_value / plan.delta));
+                IdealLaplace ideal(plan.lambda, seed);
+                // Budget exhausted: replay the cached report, or the
+                // range midpoint when nothing was ever released.
+                double released = plan.mid_value;
                 for (uint32_t t = 0; t < R; ++t) {
-                    double released;
-                    if (t < fresh) {
-                        if (batched) {
-                            int64_t yi = xi + noise[t];
+                    if (t < fresh)
+                        released = x + ideal.sample();
+                    hist.add(released);
+                    acc.ideal_released.add(released);
+                    acc.ideal_error.add(released - x);
+                    item.ideal_trial[t] += released;
+                    release(node, t, released);
+                }
+            }
+            const uint64_t nodes = item.node_hi - item.node_lo;
+            acc.samples += nodes * fresh;
+            acc.addReports(nodes, fresh, R);
+            return;
+        }
+
+        // -- Exact integer accumulation: one slot bump and one
+        // per-trial index sum per report (GridTally; with agg on the
+        // slot bump is the agg sketch's own delta), everything else
+        // per node. The block reaches the worker's totals only at
+        // endBlock().
+        GridTally &tally = slab.tally;
+        tally.beginBlock();
+        // Registry-lowered execution shape: the loop never sees the
+        // mechanism's name, only these two booleans.
+        const bool truncated = plan.mech.truncated;
+        const bool clamp = plan.mech.clamp;
+
+        // -- Batch path: fill the 16-lane bank with consecutive nodes
+        // and draw every fresh report of the group in one rect. Lane
+        // l is bit-identical to the scalar stream of node lo + l, so
+        // the accumulation below produces the exact scalar numbers.
+        if (plan.batch_ok &&
+            !g_force_scalar_blocks.load(std::memory_order_relaxed)) {
+            // Cohort-cached sampler: constructing one per block copied
+            // the table's shared_ptr, and the refcount RMW on that
+            // shared control-block line was cross-core traffic on
+            // every block claim. The cached instance keeps a stable
+            // reference; the hot loop below only ever reads the table
+            // through a plain pointer.
+            if (!ws.sampler || ws.sampler_cohort != item.cohort) {
+                ws.sampler.emplace(plan.table,
+                                   plan.proto.config().uniform_bits,
+                                   plan.proto.quantizer().maxIndex(),
+                                   plan.proto.config().integrity_checks);
+                ws.sampler_cohort = item.cohort;
+            }
+            BatchSampler &bs = *ws.sampler;
+            std::vector<BatchSampler::Window> &windows = ws.windows;
+            std::vector<int64_t> &rect = ws.rect;
+            rect.resize(W * static_cast<size_t>(fresh));
+            uint64_t seeds[W];
+            double xs[W];
+            int64_t xis[W];
+            bool ok = true;
+            for (uint64_t lo = item.node_lo; lo < item.node_hi;
+                 lo += W) {
+                size_t lanes = static_cast<size_t>(
+                    std::min<uint64_t>(W, item.node_hi - lo));
+                for (size_t l = 0; l < lanes; ++l) {
+                    seeds[l] = seeder_.nodeSeed(plan.index, lo + l);
+                    xs[l] = trueValue(lo + l, seeds[l]);
+                    xis[l] = inputIndex(xs[l]);
+                    if (truncated)
+                        windows[l] = {plan.win_lo - xis[l],
+                                      plan.win_hi - xis[l]};
+                }
+                bs.seedLanes(seeds, lanes);
+                ok = truncated
+                    ? bs.sampleTruncatedRect(windows.data(),
+                                             rect.data(), fresh)
+                    : bs.sampleRect(rect.data(), fresh);
+                if (!ok)
+                    break;
+                for (size_t l = 0; l < lanes; ++l) {
+                    const uint64_t node = lo + l;
+                    const int64_t xi = xis[l];
+                    acc.true_vals.add(xs[l]);
+                    int64_t yi = 0;
+                    NodeIndices ys;
+                    for (uint32_t t = 0; t < R; ++t) {
+                        // Past the budget the node replays its last
+                        // fresh report (fresh >= 1 on this path).
+                        if (t < fresh) {
+                            yi = xi + rect[static_cast<size_t>(t) *
+                                               lanes + l];
                             if (clamp)
                                 yi = std::clamp(yi, plan.win_lo,
                                                 plan.win_hi);
-                            released = static_cast<double>(yi) *
-                                       plan.delta;
-                            cached_yi = yi;
-                        } else if (fxp) {
-                            // drawConfinedOutput's samples out-param
-                            // is per-request (it assigns); the block
-                            // total comes from samplesDrawn() below.
-                            uint64_t scratch = 0;
-                            int64_t yi = drawConfinedOutput(
-                                *rng, RangeControl::Resampling, xi,
-                                plan.win_lo, plan.win_hi,
-                                uint64_t{1} << 20, scratch,
-                                acc.overflows, "FleetRunner");
-                            released = static_cast<double>(yi) *
-                                       plan.delta;
-                            cached_yi = yi;
-                        } else {
-                            released = x + ideal->sample();
-                            ++acc.samples;
                         }
-                        cached = released;
-                        ++acc.fresh;
-                    } else {
-                        // Budget exhausted: replay the cached report
-                        // (a function of already-released data; zero
-                        // additional loss), or the range midpoint
-                        // when nothing was ever released.
-                        released =
-                            cached ? *cached : plan.mid_value;
-                        ++acc.replays;
+                        tally.add(t, yi);
+                        ys.add(yi);
+                        release(node, t,
+                                static_cast<double>(yi) * plan.delta);
                     }
-                    if (agg_delta != nullptr)
-                        aggRecord(t, cached_yi);
-                    acc.hist.add(released);
-                    acc.released.add(released);
-                    acc.error.add(released - x);
-                    acc.trial_sum[t] += released;
-                    acc.checksum += reportDigest(node, t, released);
-                    if (matrix != nullptr)
-                        matrix[static_cast<uint64_t>(t) * plan.nodes +
-                               node] = released;
+                    acc.addGridNode(xs[l], xi, ys, R, plan.delta);
                 }
+                acc.samples += lanes * fresh;
+                acc.addReports(lanes, fresh, R);
             }
-            if (fxp) {
-                acc.samples += rng->samplesDrawn() - drawn_before;
-                acc.integrity +=
-                    rng->integrityDetections() - integ_before;
+            if (ok) {
+                tally.endBlock();
+                return;
             }
-            if (agg_delta != nullptr)
-                slab->sketch.ingestDelta(agg_delta);
+            // A comparator tripped, or a window holds no URNG state:
+            // discard the whole block -- its slab and the worker's
+            // block deltas -- and redo it scalar. Every node restarts
+            // from its seed, so the redo is bit-identical to never
+            // having batched, and the scalar integrity path
+            // quarantines (or clamps) with the exact per-draw
+            // semantics.
+            acc = BlockAccum{};
+            tally.beginBlock();
+            ++ws.fallbacks;
         }
+
+        // -- Scalar path: fresh == 0 cohorts, tableless
+        // configurations, and batch-fallback redos.
+        std::optional<FxpLaplaceRng> &rng = ws.rng;
+        if (!rng || ws.rng_cohort != item.cohort ||
+            rng->integrityFault()) {
+            rng.emplace(plan.proto);
+            ws.rng_cohort = item.cohort;
+            ++ws.clones;
+        }
+        const bool batched = plan.mech.naive || clamp;
+        // A node that never releases a fresh report replays the range
+        // midpoint, which is off the grid: the fold derives such a
+        // cohort's moments from the true readings, and the agg
+        // stream sees the midpoint's nearest slot.
+        const bool midpoint = fresh == 0;
+        std::vector<int64_t> &noise = ws.noise;
+        noise.resize(batched ? fresh : 0);
+        const uint64_t drawn_before = rng->samplesDrawn();
+        const uint64_t integ_before = rng->integrityDetections();
+
+        for (uint64_t node = item.node_lo; node < item.node_hi; ++node) {
+            uint64_t seed = seeder_.nodeSeed(plan.index, node);
+            double x = trueValue(node, seed);
+            acc.true_vals.add(x);
+            const int64_t xi = inputIndex(x);
+            rng->urng() = Tausworthe(seed);
+            if (batched && fresh > 0)
+                rng->sampleBatch(noise.data(), fresh);
+
+            int64_t yi = plan.mid_slot;
+            NodeIndices ys;
+            for (uint32_t t = 0; t < R; ++t) {
+                if (t < fresh) {
+                    if (batched) {
+                        yi = xi + noise[t];
+                        if (clamp)
+                            yi = std::clamp(yi, plan.win_lo,
+                                            plan.win_hi);
+                    } else {
+                        // drawConfinedOutput's samples out-param is
+                        // per-request (it assigns); the block total
+                        // comes from samplesDrawn() below.
+                        uint64_t scratch = 0;
+                        yi = drawConfinedOutput(
+                            *rng, RangeControl::Resampling, xi,
+                            plan.win_lo, plan.win_hi,
+                            uint64_t{1} << 20, scratch,
+                            acc.overflows, "FleetRunner");
+                    }
+                }
+                tally.add(t, yi);
+                ys.add(yi);
+                release(node, t,
+                        midpoint ? plan.mid_value
+                                 : static_cast<double>(yi) * plan.delta);
+            }
+            acc.addGridNode(x, xi, ys, R, plan.delta);
+        }
+        acc.addReports(item.node_hi - item.node_lo, fresh, R);
+        acc.samples += rng->samplesDrawn() - drawn_before;
+        acc.integrity += rng->integrityDetections() - integ_before;
+        tally.endBlock();
     };
 
     unsigned spawn = static_cast<unsigned>(
@@ -1101,29 +1255,19 @@ FleetRunner::run(unsigned num_threads)
         WorkerScratch &ws = *scratch_[w];
         ws.fallbacks = 0;
         ws.clones = 0;
-        // Aggregation shards: allocate once per (worker, cohort) --
+        // Accumulation shards: allocate once per (worker, cohort) --
         // sized by the plan, so epoch reuse only zeroes counters --
         // and always reset before the timer starts. Only the first
         // `spawn` scratch slots are merged below, so slots left over
         // from a wider earlier epoch cannot leak stale counts.
-        if (ws.agg.size() < plans_.size())
-            ws.agg.resize(plans_.size());
+        if (ws.slabs.size() < plans_.size())
+            ws.slabs.resize(plans_.size());
         for (size_t c = 0; c < plans_.size(); ++c) {
-            const CohortPlan &plan = plans_[c];
-            if (!plan.agg_on)
-                continue;
-            auto &slab = ws.agg[c];
-            if (!slab) {
-                slab = std::make_unique<WorkerScratch::AggSlab>();
-                slab->sketch = agg::CohortSketch(
-                    plan.cfg.agg, plan.agg_span, plan.agg_rows,
-                    static_cast<double>(plan.agg_out_lo) * plan.delta,
-                    plan.delta);
-                slab->delta.assign(slab->sketch.slotCells(), 0);
-            } else {
-                slab->sketch.clear();
-            }
-            slab->dropped = 0;
+            auto &slab = ws.slabs[c];
+            if (!slab)
+                slab = std::make_unique<WorkerScratch::CohortSlab>(
+                    plans_[c]);
+            slab->clear(plans_[c]);
         }
     }
     std::function<void(unsigned)> job_fn = job;
@@ -1142,39 +1286,71 @@ FleetRunner::run(unsigned num_threads)
         rng_clones += scratch_[w]->clones;
     }
 
-    // Merge the block slabs in block-index order -- the fixed merge
-    // tree that makes the floating-point results independent of which
-    // thread ran which block.
+    // Fold each cohort: block slabs in block-index order (which fixes
+    // the rounding of their few floating-point terms), worker shards
+    // in any order (all integers), then the released and error
+    // moments from the exact sums.
     FleetReport report;
     report.threads = spawn;
     report.seconds =
         std::chrono::duration<double>(t1 - t0).count();
     for (size_t c = 0; c < plans_.size(); ++c) {
         const CohortPlan &plan = plans_[c];
+        const uint32_t R = plan.cfg.reports_per_node;
         CohortResult res(Histogram(plan.hist_lo, plan.hist_hi,
                                    plan.cfg.histogram_bins));
         res.name = plan.cfg.name;
         res.mechanism = plan.cfg.mechanism_name;
         res.nodes = plan.nodes;
-        res.trial_estimate.assign(plan.cfg.reports_per_node, 0.0);
-        for (const BlockAccum &acc : accums[c]) {
-            res.released_hist.merge(acc.hist);
-            res.released_stats.merge(acc.released);
-            res.error_stats.merge(acc.error);
-            res.true_stats.merge(acc.true_vals);
-            for (size_t t = 0; t < res.trial_estimate.size(); ++t)
-                res.trial_estimate[t] += acc.trial_sum[t];
-            res.samples_drawn += acc.samples;
-            res.resample_overflows += acc.overflows;
-            res.fresh_reports += acc.fresh;
-            res.cache_replays += acc.replays;
-            res.nodes_exhausted += acc.exhausted;
-            res.rng_integrity_detections += acc.integrity;
-            res.checksum += acc.checksum;
-        }
+        BlockAccum tot;
+        for (const BlockAccum &acc : accums[c])
+            tot.merge(acc);
+        res.samples_drawn = tot.samples;
+        res.resample_overflows = tot.overflows;
+        res.fresh_reports = tot.fresh;
+        res.cache_replays = tot.replays;
+        res.nodes_exhausted = tot.exhausted;
+        res.rng_integrity_detections = tot.integrity;
+        res.checksum = tot.checksum;
+        res.true_stats = tot.true_vals;
         res.reports = res.fresh_reports + res.cache_replays;
-        for (double &e : res.trial_estimate)
-            e /= static_cast<double>(plan.nodes);
+
+        // Worker shards: all integer counts, merged in worker-index
+        // order by repo convention (any order gives the same bits).
+        GridTally tally;
+        for (unsigned w = 0; w < spawn; ++w) {
+            const WorkerScratch::CohortSlab &slab =
+                *scratch_[w]->slabs[c];
+            if (w == 0)
+                tally = slab.tally;
+            else
+                tally.merge(slab.tally);
+            if (slab.ideal_hist)
+                res.released_hist.merge(*slab.ideal_hist);
+        }
+        if (tally.dropped() != 0)
+            fatal("FleetRunner: cohort '%s': %llu reports fell outside "
+                  "the output window [%lld, %lld]",
+                  plan.cfg.name.c_str(),
+                  static_cast<unsigned long long>(tally.dropped()),
+                  static_cast<long long>(plan.slot_lo),
+                  static_cast<long long>(plan.slot_lo +
+                                         plan.slot_span - 1));
+
+        if (plan.mech.ideal) {
+            res.released_stats = tot.ideal_released;
+            res.error_stats = tot.ideal_error;
+            res.trial_estimate.assign(R, 0.0);
+            for (size_t b = 0; b < accums[c].size(); ++b)
+                for (uint32_t t = 0; t < R; ++t)
+                    res.trial_estimate[t] += ideal_trials[c][b * R + t];
+            for (double &e : res.trial_estimate)
+                e /= static_cast<double>(plan.nodes);
+        } else if (plan.fresh_per_node == 0) {
+            foldMidpoint(res, R, plan.mid_value);
+        } else {
+            foldGrid(res, tally, tot, R, plan.delta);
+        }
 
         RunningStats abs_err;
         for (double e : res.trial_estimate)
@@ -1187,25 +1363,12 @@ FleetRunner::run(unsigned num_threads)
         res.matrix = std::move(matrices[c]);
         report.total_reports += res.reports;
 
-        // Streaming aggregation: merge the worker shards (worker
-        // index order by repo convention, though the all-integer
-        // sketch state makes the merge order-free), scan the heavy
-        // hitters, and run the unbiased channel-inversion decode.
-        // Main thread, post-parallel-section: the decode never sits
-        // on the ingest hot path.
+        // Heavy-hitter scan and the unbiased channel-inversion
+        // decode. Main thread, post-parallel-section: the decode
+        // never sits on the ingest hot path.
         if (plan.agg_on) {
             auto ar = std::make_shared<CohortAggResult>();
-            ar->sketch = agg::CohortSketch(
-                plan.cfg.agg, plan.agg_span, plan.agg_rows,
-                static_cast<double>(plan.agg_out_lo) * plan.delta,
-                plan.delta);
-            for (unsigned w = 0; w < spawn; ++w) {
-                const auto &slab = scratch_[w]->agg[c];
-                if (slab) {
-                    ar->sketch.merge(slab->sketch);
-                    ar->dropped += slab->dropped;
-                }
-            }
+            ar->sketch = tally.sketch();
             if (plan.cfg.agg.heavy_hitters > 0) {
                 ar->heavy = agg::topK(ar->sketch.cm(),
                                       ar->sketch.span(),

@@ -18,16 +18,19 @@
  *    simulates a node cannot change what the node does.
  *  - Work is sharded into fixed-size *blocks* of consecutive nodes.
  *    The block size is a configuration constant, not a function of
- *    the thread count; each block accumulates into its own private,
- *    cache-line-aligned histogram / Welford / counter slab (no locks,
- *    no atomics, no sharing on the hot path -- the only
- *    synchronisation is the relaxed claim RMW on a per-worker work
- *    queue, plus occasional steals from a drained worker).
- *  - At the end the main thread merges the block slabs in block-index
- *    order. Integer counters and histogram bins are trivially
- *    order-independent; Welford merges and trial sums are *not*
- *    floating-point-associative, which is exactly why the merge tree
- *    is fixed by block index rather than by completion order.
+ *    the thread count. Each report is tallied as an exact integer
+ *    (its output slot count and per-trial index sum, GridTally) in
+ *    the worker's private shard; each block keeps its counters and a
+ *    few per-node floating-point terms in its own cache-line-aligned
+ *    slab (no locks, no atomics, no sharing on the hot path -- the
+ *    only synchronisation is the relaxed claim RMW on a per-worker
+ *    work queue, plus occasional steals from a drained worker).
+ *  - At the end the main thread merges the integer shards (in any
+ *    order: integer addition is associative) and the block slabs in
+ *    block-index order, which fixes the rounding of their few
+ *    floating-point terms whichever thread finished first. Released
+ *    moments, histogram and trial means are then derived from the
+ *    exact integer sums.
  *
  * The hot path rides the batch sampling layer (rng/batch_sampler.h):
  * workers fill a 16-lane Tausworthe bank with consecutive nodes'
@@ -170,8 +173,9 @@ struct FleetConfig
 
     /**
      * Nodes per scheduling/merge block. Results depend on this
-     * constant (it fixes the Welford merge tree) but never on the
-     * thread count. The default keeps per-block slabs cache-friendly
+     * constant (it fixes the merge tree of the per-node float terms,
+     * e.g. the true-reading moments) but never on the thread count.
+     * The default keeps per-block slabs cache-friendly
      * while giving a 1M-node fleet ~1000 blocks to balance across
      * threads.
      */
@@ -222,9 +226,10 @@ struct CohortAggResult
     double input_value0 = 0.0;
     double delta = 0.0;
 
-    /** Reports whose output index fell outside the sketch window
-     *  (should be 0; a defensive counter, folded into the
-     *  fingerprint so a drop can never pass silently). */
+    /** Reports whose output index fell outside the sketch window.
+     *  Always 0 in a returned result: the fleet's own moments are
+     *  built from the same slot counts, so a drop is fatal. Kept in
+     *  the fingerprint. */
     uint64_t dropped = 0;
 
     /** Wall-clock seconds of the post-merge decode (not part of the
@@ -253,17 +258,20 @@ struct CohortResult
     /** Histogram of every released value. */
     Histogram released_hist;
 
-    /** Welford moments of every released value. */
+    /** Moments of every released value: exact, from integer sums
+     *  over the output grid (Welford for the "ideal" yardstick). */
     RunningStats released_stats;
 
-    /** Welford moments of (released - true) per report. */
+    /** Moments of (released - true) per report, from the same exact
+     *  sums plus per-node quantization residuals. */
     RunningStats error_stats;
 
     /** Welford moments of the true per-node readings. */
     RunningStats true_stats;
 
     /** Per-trial mean estimate: mean over nodes of trial t's
-     *  reports (the analyst's population-mean estimate). */
+     *  reports (the analyst's population-mean estimate), from the
+     *  exact per-trial index sum. */
     std::vector<double> trial_estimate;
 
     /** MAE of the trial mean estimates against the true mean, and

@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <set>
 #include <string>
 #include <utility>
@@ -19,6 +20,7 @@
 #include "common/logging.h"
 #include "common/stats.h"
 #include "fleet/fleet.h"
+#include "fleet/grid_tally.h"
 #include "fleet/seeder.h"
 #include "rng/tausworthe.h"
 
@@ -652,7 +654,9 @@ TEST(FleetRegistry, NamedSelectionIsFingerprintImmune)
     // Selecting by registry name routes through the registered
     // lowering, which must reproduce the hard-wired thresholding /
     // resampling reports bit for bit: the literal is the fingerprint
-    // smallFleet() produced with that pair hard-wired, and it must
+    // smallFleet() produces with that pair (re-pinned once when the
+    // released moments moved to exact integer sums; the reports and
+    // every counter are unchanged, see FleetExact.*), and it must
     // not move at any thread count.
     FleetConfig fc = smallFleet();
     ASSERT_EQ(fc.cohorts[0].mechanism_name, "thresholding");
@@ -660,11 +664,14 @@ TEST(FleetRegistry, NamedSelectionIsFingerprintImmune)
     FleetRunner runner(fc);
     for (unsigned threads : {1u, 4u}) {
         FleetReport rep = runner.run(threads);
-        EXPECT_EQ(rep.fingerprint(), 0x66bc95455ecba0faULL)
+        EXPECT_EQ(rep.fingerprint(), 0x8937d26142401729ULL)
             << "threads=" << threads;
         EXPECT_EQ(rep.cohorts[0].mechanism, "thresholding");
         EXPECT_EQ(rep.cohorts[1].mechanism, "resampling");
     }
+    // The forced scalar path lands on the same literal.
+    ScopedForceScalar forced(true);
+    EXPECT_EQ(runner.run(2).fingerprint(), 0x8937d26142401729ULL);
 }
 
 TEST(FleetRegistry, DefaultCohortRunsThresholding)
@@ -767,6 +774,367 @@ TEST(FleetRegistry, DiscreteCohortTracksResamplingUtility)
     // but by a bounded factor, not a different regime.
     EXPECT_GT(disc.mean_mae, 0.5 * res.mean_mae);
     EXPECT_LT(disc.mean_mae, 6.0 * res.mean_mae + 0.05);
+}
+
+// ---------------------------------------------------------------------
+// Integer-exact accumulation
+// ---------------------------------------------------------------------
+
+uint64_t
+chain(uint64_t acc, uint64_t word)
+{
+    return FleetSeeder::mix64(acc ^ word);
+}
+
+/**
+ * The fields of one cohort that do not depend on how released values
+ * are summed: the report checksum, the histogram counts, the six
+ * counters, the agg slot totals and the true-reading moments.
+ */
+struct UntouchedFields
+{
+    uint64_t checksum;
+    uint64_t hist;
+    uint64_t counters;
+    uint64_t agg_slots;
+    uint64_t true_stats;
+
+    static UntouchedFields of(const CohortResult &c)
+    {
+        UntouchedFields u{};
+        u.checksum = c.checksum;
+        u.hist = 0x4157;
+        for (size_t i = 0; i < c.released_hist.numBins(); ++i)
+            u.hist = chain(u.hist, c.released_hist.count(i));
+        u.hist = chain(u.hist, c.released_hist.underflow());
+        u.hist = chain(u.hist, c.released_hist.overflow());
+        u.counters = 0xc0;
+        for (uint64_t v : {c.samples_drawn, c.resample_overflows,
+                           c.fresh_reports, c.cache_replays,
+                           c.nodes_exhausted,
+                           c.rng_integrity_detections})
+            u.counters = chain(u.counters, v);
+        u.agg_slots = 0xa99;
+        if (c.agg) {
+            for (uint64_t s : c.agg->sketch.slotTotals())
+                u.agg_slots = chain(u.agg_slots, s);
+            u.agg_slots = chain(u.agg_slots, c.agg->dropped);
+        }
+        u.true_stats = 0x7e;
+        for (uint64_t v :
+             {c.true_stats.count(), bits(c.true_stats.mean()),
+              bits(c.true_stats.variance()), bits(c.true_stats.min()),
+              bits(c.true_stats.max())})
+            u.true_stats = chain(u.true_stats, v);
+        return u;
+    }
+};
+
+void
+expectUntouched(const FleetReport &rep,
+                const std::vector<UntouchedFields> &pinned)
+{
+    ASSERT_EQ(rep.cohorts.size(), pinned.size());
+    for (size_t c = 0; c < pinned.size(); ++c) {
+        UntouchedFields u = UntouchedFields::of(rep.cohorts[c]);
+        SCOPED_TRACE(rep.cohorts[c].name);
+        EXPECT_EQ(u.checksum, pinned[c].checksum);
+        EXPECT_EQ(u.hist, pinned[c].hist);
+        EXPECT_EQ(u.counters, pinned[c].counters);
+        EXPECT_EQ(u.agg_slots, pinned[c].agg_slots);
+        EXPECT_EQ(u.true_stats, pinned[c].true_stats);
+    }
+}
+
+/** smallFleet() with streaming aggregation on both cohorts. */
+FleetConfig
+smallAggFleet()
+{
+    FleetConfig fc = smallFleet();
+    for (CohortConfig &c : fc.cohorts)
+        c.agg.enabled = true;
+    return fc;
+}
+
+/**
+ * One cohort per accumulation mode: a grid cohort with agg, a naive
+ * cohort (no window), a cohort whose budget affords no fresh report
+ * (every report is the range midpoint, off the output grid), an
+ * Ideal cohort (continuous values) and a bounded-Laplace cohort.
+ */
+FleetConfig
+modesFleet()
+{
+    FleetConfig fc = smallFleet();
+    CohortConfig base = fc.cohorts[1];
+    base.materialize = false;
+    base.nodes = 1100;
+    base.reports_per_node = 3;
+    auto cohort = [&](const char *name, const char *mechanism) {
+        CohortConfig c = base;
+        c.name = name;
+        c.mechanism_name = mechanism;
+        return c;
+    };
+    fc.cohorts = {cohort("disc", "discrete-laplace"),
+                  cohort("naive", "naive"),
+                  cohort("broke", "thresholding"),
+                  cohort("ideal", "ideal"),
+                  cohort("bounded", "bounded-laplace")};
+    fc.cohorts[0].agg.enabled = true;
+    fc.cohorts[0].agg.per_trial = true;
+    fc.cohorts[1].agg.enabled = true;
+    fc.cohorts[2].budget_per_node = 0.1; // below one 2*eps charge
+    return fc;
+}
+
+TEST(FleetExact, UntouchedFieldsMatchWelfordEngine)
+{
+    // Literals recorded from the engine that still accumulated every
+    // report through Welford, a float histogram bin and double trial
+    // sums. Summing released values exactly must not move any of
+    // these fields.
+    const std::vector<UntouchedFields> small = {
+        {0x149689eea286a258ULL, 0x57cc4cbb6b7f2b62ULL,
+         0x88171413369c32d3ULL, 0x9a208a0dac6f486cULL,
+         0x41035add4fe2c50dULL},
+        {0xb880f3a8e603de73ULL, 0x11689662b926fee5ULL,
+         0x72c588cdddc2f786ULL, 0xd1fdac7db2a4ff32ULL,
+         0x4383ca7f27433ec3ULL},
+    };
+    const std::vector<UntouchedFields> modes = {
+        {0x7795fca62be1490fULL, 0xc5b2a684f5c7aee3ULL,
+         0xf22751125ba3ccfeULL, 0x6ea1a4a5373b454cULL,
+         0x7c2bc1dc75afea0eULL},
+        {0x093aa478bb23c7deULL, 0x578cf6e41ae7d843ULL,
+         0xf22751125ba3ccfeULL, 0x95fa2cebf97d2542ULL,
+         0x2397d49c22e5c25aULL},
+        {0xb1219adde5561195ULL, 0xe39f229f8f474eb6ULL,
+         0xb167e23a5edb8e87ULL, 0x0000000000000a99ULL,
+         0x76b7a4d3758cef71ULL},
+        {0xb143cad100b3bb83ULL, 0x5f742565e18d0791ULL,
+         0xf22751125ba3ccfeULL, 0x0000000000000a99ULL,
+         0xcd5ee04e249f27fcULL},
+        {0xd53ec630e9dc2dccULL, 0xccab41ea513f1cf7ULL,
+         0xf22751125ba3ccfeULL, 0x0000000000000a99ULL,
+         0x9c75641b5d347a6aULL},
+    };
+    FleetRunner small_runner(smallAggFleet());
+    FleetRunner modes_runner(modesFleet());
+    for (unsigned threads : {1u, 3u}) {
+        SCOPED_TRACE(threads);
+        expectUntouched(small_runner.run(threads), small);
+        expectUntouched(modes_runner.run(threads), modes);
+    }
+}
+
+/** Distance in units in the last place between two finite doubles. */
+uint64_t
+ulpsApart(double a, double b)
+{
+    auto key = [](double v) {
+        int64_t i;
+        std::memcpy(&i, &v, sizeof i);
+        return i < 0 ? std::numeric_limits<int64_t>::min() - i : i;
+    };
+    int64_t ka = key(a);
+    int64_t kb = key(b);
+    return ka > kb ? static_cast<uint64_t>(ka - kb)
+                   : static_cast<uint64_t>(kb - ka);
+}
+
+/** Relative distance, against 1 when the reference is tiny. */
+double
+relErr(double got, long double want)
+{
+    long double scale = std::max(std::fabs(want), 1.0L);
+    return static_cast<double>(std::fabs(got - want) / scale);
+}
+
+TEST(FleetExact, MomentsMatchTwoPassReference)
+{
+    // Every grid mechanism, with cache replays and with a cohort that
+    // only ever replays the midpoint, against a two-pass long double
+    // reference over the materialized reports. Dataset replay makes
+    // each node's true reading known to the test.
+    FleetConfig fc = smallFleet();
+    CohortConfig base = fc.cohorts[0];
+    base.nodes = 0;
+    base.reports_per_node = 5;
+    base.budget_per_node = 3.5; // 3 fresh at 2*eps, 2 replays
+    base.materialize = true;
+    base.values.clear();
+    for (int i = 0; i < 1999; ++i)
+        base.values.push_back(
+            10.0 * std::fmod(0.6180339887498949 * (i + 1), 1.0));
+    auto cohort = [&](const char *name, const char *mechanism) {
+        CohortConfig c = base;
+        c.name = name;
+        c.mechanism_name = mechanism;
+        return c;
+    };
+    fc.cohorts = {cohort("thr", "thresholding"),
+                  cohort("res", "resampling"),
+                  cohort("disc", "discrete-laplace"),
+                  cohort("naive", "naive"),
+                  cohort("bounded", "bounded-laplace"),
+                  cohort("broke", "thresholding")};
+    fc.cohorts[1].budget_per_node = 0.0;
+    fc.cohorts[1].agg.enabled = true;
+    fc.cohorts[5].budget_per_node = 0.5; // no fresh report at all
+
+    FleetRunner runner(fc);
+    FleetReport rep = runner.run(3);
+    for (const CohortResult &r : rep.cohorts) {
+        SCOPED_TRACE(r.name);
+        const std::vector<double> &x = base.values;
+        const uint64_t N = x.size();
+        const uint32_t R = base.reports_per_node;
+        ASSERT_EQ(r.matrix.size(), N * R);
+        const long double n = static_cast<long double>(N * R);
+
+        long double sum = 0.0L;
+        long double err_sum = 0.0L;
+        double lo = r.matrix[0], hi = r.matrix[0];
+        double err_lo = r.matrix[0] - x[0], err_hi = err_lo;
+        for (uint32_t t = 0; t < R; ++t) {
+            long double trial = 0.0L;
+            for (uint64_t i = 0; i < N; ++i) {
+                double v = r.matrix[t * N + i];
+                double e = v - x[i];
+                trial += v;
+                err_sum += static_cast<long double>(v) - x[i];
+                lo = std::min(lo, v);
+                hi = std::max(hi, v);
+                err_lo = std::min(err_lo, e);
+                err_hi = std::max(err_hi, e);
+            }
+            sum += trial;
+            EXPECT_LE(ulpsApart(r.trial_estimate[t],
+                                static_cast<double>(trial / N)),
+                      1u)
+                << "trial " << t;
+        }
+        const long double mean = sum / n;
+        const long double err_mean = err_sum / n;
+        long double ss = 0.0L;
+        long double err_ss = 0.0L;
+        for (uint64_t k = 0; k < N * R; ++k) {
+            long double v = r.matrix[k];
+            long double e = v - x[k % N];
+            ss += (v - mean) * (v - mean);
+            err_ss += (e - err_mean) * (e - err_mean);
+        }
+
+        EXPECT_EQ(r.released_stats.count(), N * R);
+        EXPECT_LE(ulpsApart(r.released_stats.mean(),
+                            static_cast<double>(mean)), 1u);
+        EXPECT_LE(ulpsApart(r.released_stats.variance(),
+                            static_cast<double>(ss / n)), 1u);
+        EXPECT_EQ(r.released_stats.min(), lo);
+        EXPECT_EQ(r.released_stats.max(), hi);
+
+        EXPECT_EQ(r.error_stats.count(), N * R);
+        EXPECT_LE(relErr(r.error_stats.mean(), err_mean), 1e-12);
+        EXPECT_LE(relErr(r.error_stats.variance(), err_ss / n), 1e-12);
+        EXPECT_EQ(r.error_stats.min(), err_lo);
+        EXPECT_EQ(r.error_stats.max(), err_hi);
+    }
+}
+
+TEST(GridTally, RestartedBlockNeverDoubleCounts)
+{
+    // The batch path's bail-and-redo at the accumulator level. No
+    // public fleet input makes a batch block bail -- it takes a
+    // corrupted sampler table, and the fleet's tables are private --
+    // so this drives the tally directly: half a block is added, the
+    // block restarts, and the redo must leave exactly the totals of a
+    // block that never bailed. Both tally layouts are covered (own
+    // slots, and slots shared with a per-trial agg sketch).
+    agg::AggConfig cfg;
+    cfg.enabled = true;
+    cfg.per_trial = true;
+    const int64_t lo = -7;
+    const size_t span = 30;
+    const uint32_t trials = 3;
+    auto report = [](uint32_t node, uint32_t t) {
+        return static_cast<int64_t>((node * 7 + t * 5) % 30) - 7;
+    };
+    for (bool with_sketch : {false, true}) {
+        SCOPED_TRACE(with_sketch);
+        auto make = [&] {
+            return with_sketch
+                ? GridTally(agg::CohortSketch(cfg, span, trials,
+                                              -7.0 * 0.5, 0.5),
+                            lo, trials)
+                : GridTally(lo, span, trials);
+        };
+        GridTally clean = make();
+        GridTally redone = make();
+        for (int block = 0; block < 2; ++block) {
+            clean.beginBlock();
+            redone.beginBlock();
+            for (uint32_t node = 0; node < 40; ++node) {
+                for (uint32_t t = 0; t < trials; ++t) {
+                    clean.add(t, report(block * 40 + node, t));
+                    // The bailing copy gets the first 16-node group
+                    // of block 1 before it restarts.
+                    if (block == 1 && node < 16)
+                        redone.add(t, report(block * 40 + node, t));
+                }
+            }
+            if (block == 1) {
+                redone.beginBlock();
+                for (uint32_t node = 0; node < 40; ++node)
+                    for (uint32_t t = 0; t < trials; ++t)
+                        redone.add(t, report(block * 40 + node, t));
+            } else {
+                for (uint32_t node = 0; node < 40; ++node)
+                    for (uint32_t t = 0; t < trials; ++t)
+                        redone.add(t, report(block * 40 + node, t));
+            }
+            clean.endBlock();
+            redone.endBlock();
+        }
+        EXPECT_EQ(redone.slotTotals(), clean.slotTotals());
+        EXPECT_EQ(redone.trialSums(), clean.trialSums());
+        EXPECT_EQ(redone.dropped(), 0u);
+        uint64_t total = 0;
+        for (uint64_t c : clean.slotTotals())
+            total += c;
+        EXPECT_EQ(total, 2u * 40u * trials);
+        if (with_sketch) {
+            EXPECT_EQ(redone.sketch().slots(), clean.sketch().slots());
+            EXPECT_EQ(redone.sketch().total(), total);
+        }
+    }
+}
+
+TEST(GridTally, MergesInAnyOrderAndCountsDrops)
+{
+    GridTally a(0, 4, 2), b(0, 4, 2), c(0, 4, 2);
+    a.beginBlock();
+    a.add(0, 1);
+    a.add(1, 3);
+    a.add(1, 9); // outside [0, 3]: dropped, still summed per trial
+    a.endBlock();
+    b.beginBlock();
+    b.add(0, 2);
+    b.endBlock();
+    c.beginBlock();
+    c.add(1, 0);
+    c.endBlock();
+    GridTally abc = a, cba = c;
+    abc.merge(b);
+    abc.merge(c);
+    cba.merge(b);
+    cba.merge(a);
+    EXPECT_EQ(abc.slotTotals(), cba.slotTotals());
+    EXPECT_EQ(abc.slotTotals(), (std::vector<uint64_t>{1, 1, 1, 1}));
+    EXPECT_EQ(abc.trialSums(), (std::vector<int64_t>{3, 12}));
+    EXPECT_EQ(abc.dropped(), 1u);
+    GridTally wider(0, 5, 2);
+    EXPECT_THROW(abc.merge(wider), FatalError);
 }
 
 } // anonymous namespace

@@ -184,5 +184,89 @@ TEST(RunningStats, CountSurvivesPastFourBillion)
     EXPECT_DOUBLE_EQ(a.mean(), 5.0);
 }
 
+TEST(RunningStats, FromGridSumsMatchesSequentialAdd)
+{
+    // Integer grid indices at a non-dyadic step: the exact-moment
+    // entry point must agree with feeding the values one by one.
+    const std::vector<int64_t> ys = {3, -1, 4, 1, -5, 9, 2, 6, 5, 3, 5};
+    for (double step : {0.25, 0.1, 10.0 / 32.0}) {
+        SCOPED_TRACE(step);
+        RunningStats seq;
+        __int128 sum = 0;
+        __int128 sum_sq = 0;
+        for (int64_t y : ys) {
+            seq.add(static_cast<double>(y) * step);
+            sum += y;
+            sum_sq += static_cast<__int128>(y) * y;
+        }
+        RunningStats exact = RunningStats::fromGridSums(
+            ys.size(), sum, sum_sq, step, -5, 9);
+        EXPECT_EQ(exact.count(), seq.count());
+        EXPECT_DOUBLE_EQ(exact.mean(), seq.mean());
+        EXPECT_DOUBLE_EQ(exact.variance(), seq.variance());
+        EXPECT_EQ(exact.min(), seq.min());
+        EXPECT_EQ(exact.max(), seq.max());
+    }
+
+    // Dyadic values whose running means are all exact: Welford makes
+    // no rounding at all, so the two must agree to the bit.
+    RunningStats seq;
+    for (int64_t y : {2, 4, 6, 8})
+        seq.add(static_cast<double>(y) * 0.5);
+    RunningStats exact =
+        RunningStats::fromGridSums(4, 20, 120, 0.5, 2, 8);
+    EXPECT_EQ(exact.mean(), seq.mean());
+    EXPECT_EQ(exact.variance(), seq.variance());
+    EXPECT_EQ(exact.sampleVariance(), seq.sampleVariance());
+}
+
+TEST(RunningStats, FromMomentsRoundTripsAndEmpty)
+{
+    RunningStats s = RunningStats::fromMoments(4, 2.5, 5.0, 1.0, 4.0);
+    EXPECT_EQ(s.count(), 4u);
+    EXPECT_EQ(s.mean(), 2.5);
+    EXPECT_EQ(s.variance(), 1.25);
+    EXPECT_EQ(s.min(), 1.0);
+    EXPECT_EQ(s.max(), 4.0);
+    // It merges like any Welford accumulator.
+    RunningStats seq;
+    for (double v : {1.0, 2.0, 3.0, 4.0, 10.0})
+        seq.add(v);
+    RunningStats tail;
+    tail.add(10.0);
+    s.merge(tail);
+    EXPECT_DOUBLE_EQ(s.mean(), seq.mean());
+    EXPECT_DOUBLE_EQ(s.variance(), seq.variance());
+
+    RunningStats empty = RunningStats::fromMoments(0, 7.0, 1.0, 0, 1);
+    EXPECT_EQ(empty.count(), 0u);
+    EXPECT_EQ(empty.mean(), 0.0);
+    EXPECT_TRUE(std::isinf(empty.min()));
+}
+
+TEST(CenteredSquares, ExactOnLargeOffsets)
+{
+    // Values near 2^40 with a spread of a few units: sum^2 / n is
+    // ~2^80 while the answer is tiny, the case a double evaluation
+    // of sum_sq - sum^2 / n cancels away entirely.
+    const int64_t base = int64_t{1} << 40;
+    __int128 sum = 0;
+    __int128 sum_sq = 0;
+    for (int64_t d : {-1, 0, 2, 3}) {
+        __int128 y = base + d;
+        sum += y;
+        sum_sq += y * y;
+    }
+    // Deviations from the mean 1 + base: -2, -1, 1, 2.
+    EXPECT_EQ(centeredSquares(sum, sum_sq, 4), 10.0L);
+    EXPECT_EQ(centeredSquares(sum, sum_sq, 0), 0.0L);
+    // A remainder that does not divide: {0, 0, 1} has M2 2/3.
+    EXPECT_NEAR(static_cast<double>(centeredSquares(1, 1, 3)),
+                2.0 / 3.0, 1e-18);
+    // Negative sums round the quotient toward zero.
+    EXPECT_NEAR(static_cast<double>(centeredSquares(-1, 1, 3)),
+                2.0 / 3.0, 1e-18);
+}
+
 } // anonymous namespace
 } // namespace ulpdp
