@@ -1,21 +1,10 @@
 #include "common/parallel_for.h"
 
-#include <atomic>
-#include <exception>
-#include <mutex>
-#include <thread>
-#include <vector>
+#include <algorithm>
 
 #include "common/logging.h"
 
 namespace ulpdp {
-
-int
-hardwareJobs()
-{
-    unsigned n = std::thread::hardware_concurrency();
-    return n > 0 ? static_cast<int>(n) : 1;
-}
 
 void
 parallelFor(int64_t begin, int64_t end, int jobs, int64_t chunk,
@@ -26,54 +15,18 @@ parallelFor(int64_t begin, int64_t end, int jobs, int64_t chunk,
     ULPDP_ASSERT(chunk >= 1);
     if (jobs <= 0)
         jobs = hardwareJobs();
-
-    int64_t span = end - begin;
-    int64_t nchunks = (span + chunk - 1) / chunk;
-    if (jobs > nchunks)
-        jobs = static_cast<int>(nchunks);
-
     if (jobs == 1) {
         body(begin, end);
         return;
     }
 
-    // Workers claim the next unprocessed chunk with a fetch_add --
-    // the same discipline as FleetWorkerPool's batch claims, so a
-    // slow chunk delays only its own worker.
-    std::atomic<int64_t> next{0};
-    std::exception_ptr error;
-    std::mutex error_mutex;
-
-    auto worker = [&]() {
-        try {
-            for (;;) {
-                int64_t c = next.fetch_add(1,
-                                           std::memory_order_relaxed);
-                if (c >= nchunks)
-                    return;
-                int64_t lo = begin + c * chunk;
-                int64_t hi = lo + chunk < end ? lo + chunk : end;
-                body(lo, hi);
-            }
-        } catch (...) {
-            std::lock_guard<std::mutex> guard(error_mutex);
-            if (!error)
-                error = std::current_exception();
-            // Drain the remaining chunks so peers exit promptly.
-            next.store(nchunks, std::memory_order_relaxed);
-        }
-    };
-
-    std::vector<std::thread> threads;
-    threads.reserve(static_cast<size_t>(jobs) - 1);
-    for (int i = 1; i < jobs; ++i)
-        threads.emplace_back(worker);
-    worker(); // the caller is worker 0
-    for (auto &t : threads)
-        t.join();
-
-    if (error)
-        std::rethrow_exception(error);
+    const int64_t nchunks = (end - begin + chunk - 1) / chunk;
+    WorkerPool::instance().forEach(
+        static_cast<uint64_t>(nchunks), static_cast<unsigned>(jobs),
+        [&](uint64_t c, unsigned) {
+            int64_t lo = begin + static_cast<int64_t>(c) * chunk;
+            body(lo, std::min(lo + chunk, end));
+        });
 }
 
 } // namespace ulpdp

@@ -1,18 +1,20 @@
 /**
  * @file
- * Chunked parallel-for over an index range.
+ * Chunked parallel-for over an index range, on the process-wide
+ * worker pool (common/worker_pool.h).
  *
- * Same claim discipline as the fleet's persistent worker pool
- * (src/fleet/worker_pool.h): workers grab fixed-size chunks of the
- * index range with an atomic fetch_add, so imbalanced chunks
- * self-schedule instead of being assigned up front. This lives in
- * common (not fleet) because the core certification path uses it and
- * core must not depend on fleet.
+ * The range is cut into fixed-size chunks and the chunk indices are
+ * scheduled by WorkerPool::forEach, the same work-stealing scheduler
+ * the fleet engine uses, so imbalanced chunks self-schedule instead
+ * of being assigned up front. This lives in common (not fleet)
+ * because the core certification path uses it and core must not
+ * depend on fleet.
  *
  * The caller's thread participates as worker 0, so jobs == 1 runs the
- * body inline with zero thread spawns (and bitwise-identical
- * behaviour to a plain loop). Exceptions thrown by the body on any
- * worker are captured and rethrown on the caller.
+ * body inline with no pool traffic (and bitwise-identical behaviour
+ * to a plain loop). A call nested in another pool job runs its chunks
+ * inline on that worker. Exceptions thrown by the body on any worker
+ * are captured and rethrown on the caller.
  */
 
 #ifndef ULPDP_COMMON_PARALLEL_FOR_H
@@ -21,10 +23,9 @@
 #include <cstdint>
 #include <functional>
 
-namespace ulpdp {
+#include "common/worker_pool.h"
 
-/** Number of hardware threads (never less than 1). */
-int hardwareJobs();
+namespace ulpdp {
 
 /**
  * Invoke body(begin, end) over disjoint chunks covering

@@ -8,9 +8,9 @@
 #include <cstring>
 #include <limits>
 #include <optional>
-#include <thread>
 
 #include "common/logging.h"
+#include "common/worker_pool.h"
 #include "core/budget.h"
 #include "core/budget_ledger.h"
 #include "core/mechanism_registry.h"
@@ -703,29 +703,6 @@ struct WorkItem
     double *ideal_trial;
 };
 
-/**
- * One worker's claimable range of block indices [next, end). Owners
- * claim adaptive chunks from their own queue (an uncontended RMW on a
- * line no other core touches in the common case); thieves claim
- * single blocks once their own queue is dry. fetch_add past `end` is
- * benign -- the claimer sees an out-of-range index and moves on.
- * Padded so queues in a vector never share a cache line (the shared
- * single claim counter was one of PR 3's serialization points).
- */
-struct alignas(64) WorkQueue
-{
-    std::atomic<uint64_t> next{0};
-    uint64_t end = 0;
-    /** Owner's claim chunk: large enough to amortize the RMW, small
-     *  enough to leave steals for ragged tails. */
-    uint64_t chunk = 1;
-
-    bool looksEmpty() const
-    {
-        return next.load(std::memory_order_relaxed) >= end;
-    }
-};
-
 /** Deterministic per-node true reading (clipped Gaussian via
  *  Box-Muller on the node's data substream). */
 double
@@ -909,13 +886,6 @@ FleetRunner::FleetRunner(FleetConfig config)
 
 FleetRunner::~FleetRunner() = default;
 
-unsigned
-FleetRunner::hardwareThreads()
-{
-    unsigned hw = std::thread::hardware_concurrency();
-    return hw == 0 ? 1 : hw;
-}
-
 namespace {
 std::atomic<bool> g_force_scalar_blocks{false};
 } // anonymous namespace
@@ -930,7 +900,7 @@ FleetReport
 FleetRunner::run(unsigned num_threads)
 {
     if (num_threads == 0)
-        num_threads = hardwareThreads();
+        num_threads = static_cast<unsigned>(hardwareJobs());
 
     // Per-cohort block slabs, pre-sized so workers never allocate
     // shared state; materialized matrices and Ideal per-block trial
@@ -1195,60 +1165,14 @@ FleetRunner::run(unsigned num_threads)
     if (spawn == 0)
         spawn = 1;
 
-    // Per-worker work queues: contiguous block-index ranges, claimed
-    // chunk-wise by their owner and block-wise by thieves. The
-    // contiguous split keeps one worker walking consecutive slabs
-    // (prefetch-friendly) and makes the common claim an RMW on a line
-    // only the owner touches.
-    std::vector<WorkQueue> queues(spawn);
-    for (unsigned w = 0; w < spawn; ++w) {
-        uint64_t lo = static_cast<uint64_t>(items.size()) * w / spawn;
-        uint64_t hi =
-            static_cast<uint64_t>(items.size()) * (w + 1) / spawn;
-        queues[w].next.store(lo, std::memory_order_relaxed);
-        queues[w].end = hi;
-        queues[w].chunk = std::max<uint64_t>(1, (hi - lo) / 8);
-    }
-
-    auto job = [&](unsigned w) {
-        WorkerScratch &ws = *scratch_[w];
-        WorkQueue &own = queues[w];
-        for (;;) {
-            uint64_t i =
-                own.next.fetch_add(own.chunk,
-                                   std::memory_order_relaxed);
-            if (i >= own.end)
-                break;
-            uint64_t hi = std::min(i + own.chunk, own.end);
-            for (; i < hi; ++i)
-                processBlock(items[i], ws);
-        }
-        // Own queue dry: steal single blocks until a full sweep of
-        // the other queues finds nothing. Stealing only moves blocks
-        // between workers; the block -> slab mapping is untouched.
-        for (bool stole = true; stole && spawn > 1;) {
-            stole = false;
-            for (unsigned v = 1; v < spawn; ++v) {
-                WorkQueue &q = queues[(w + v) % spawn];
-                if (q.looksEmpty())
-                    continue;
-                uint64_t i =
-                    q.next.fetch_add(1, std::memory_order_relaxed);
-                if (i >= q.end)
-                    continue;
-                processBlock(items[i], ws);
-                stole = true;
-            }
-        }
-    };
-
     // Everything below this comment and above the t0 stamp is epoch
-    // setup that must never be timed: growing the parked pool to the
-    // requested width (first epoch only), growing the per-worker
-    // scratch slots, and materializing the type-erased job the pool
-    // dispatches.
+    // setup that must never be timed: growing the shared parked pool
+    // to the requested width (first wide call only), growing the
+    // per-worker scratch slots, and materializing the type-erased
+    // body the pool schedules.
+    WorkerPool &pool = WorkerPool::instance();
     if (spawn > 1)
-        pool_.reserve(spawn - 1);
+        pool.reserve(spawn - 1);
     while (scratch_.size() < spawn)
         scratch_.push_back(std::make_unique<WorkerScratch>());
     for (unsigned w = 0; w < spawn; ++w) {
@@ -1270,15 +1194,17 @@ FleetRunner::run(unsigned num_threads)
             slab->clear(plans_[c]);
         }
     }
-    std::function<void(unsigned)> job_fn = job;
+    // Blocks map to slabs by block index, so which worker runs a
+    // block (and whether it was stolen) never reaches the result.
+    std::function<void(uint64_t, unsigned)> block_fn =
+        [&](uint64_t i, unsigned w) { processBlock(items[i], *scratch_[w]); };
 
     auto t0 = std::chrono::steady_clock::now();
-    pool_.dispatch(spawn, job_fn);
+    pool.forEach(items.size(), spawn, block_fn);
     auto t1 = std::chrono::steady_clock::now();
 
     // Per-worker telemetry deltas, summed post-epoch on the main
-    // thread (the pool's dispatch handshake orders the reads after
-    // every worker's writes).
+    // thread (forEach orders the reads after every worker's writes).
     uint64_t batch_fallbacks = 0;
     uint64_t rng_clones = 0;
     for (unsigned w = 0; w < spawn; ++w) {

@@ -60,7 +60,6 @@
 #include "common/stats.h"
 #include "core/fxp_params.h"
 #include "fleet/seeder.h"
-#include "fleet/worker_pool.h"
 
 namespace ulpdp {
 
@@ -359,23 +358,21 @@ struct FleetReport
 };
 
 /**
- * Runs fleet epochs across a persistent worker pool with per-worker
- * work-stealing block queues.
+ * Runs fleet epochs on the process-wide worker pool
+ * (common/worker_pool.h), one work item per block.
  *
  * Scheduling (all of it invisible to the merged result):
  *
- *  - Worker threads are spawned once, before the first epoch's timer
- *    starts, and park between epochs (FleetWorkerPool). PR 3 spawned
- *    and joined threads inside every run(), which cost more than the
- *    bench epoch itself and flattened the scaling curve.
- *  - Each worker owns a contiguous, cache-line-padded queue of block
- *    indices and claims them in adaptive chunks from its own queue --
- *    no shared claim counter, so the common path has zero cross-core
- *    cache-line traffic. A worker that drains its queue steals single
- *    blocks from the fullest-looking victim, which balances ragged
- *    cohorts without perturbing the block-to-slab mapping.
+ *  - Blocks run on the pool's parked helpers, spawned before the
+ *    first wide epoch's timer starts; they outlive the runner. PR 3
+ *    spawned and joined threads inside every run(), which cost more
+ *    than the bench epoch itself and flattened the scaling curve.
+ *  - forEach's per-worker block queues and single-block steals
+ *    balance ragged cohorts with no shared claim counter and without
+ *    perturbing the block-to-slab mapping.
  *  - Per-worker scratch (RNG clones, batch samplers holding a
- *    raw-pointer view of the cohort table, noise rects) persists
+ *    raw-pointer view of the cohort table, noise rects) is owned by
+ *    the runner, indexed by the pool's worker index, and persists
  *    across blocks *and epochs*, so the hot loop never allocates and
  *    never touches the shared table's shared_ptr control block.
  *
@@ -406,9 +403,6 @@ class FleetRunner
     /** The configuration in effect. */
     const FleetConfig &config() const { return config_; }
 
-    /** std::thread::hardware_concurrency, floored at 1. */
-    static unsigned hardwareThreads();
-
     /**
      * Process-wide test hook: route every block through the per-draw
      * scalar path instead of the batch sampling layer. The merged
@@ -425,8 +419,6 @@ class FleetRunner
     FleetConfig config_;
     FleetSeeder seeder_;
     std::vector<CohortPlan> plans_;
-    /** Parked helper threads, reused by every epoch. */
-    FleetWorkerPool pool_;
     /** Per-worker-slot scratch (RNG clones, batch samplers, rects),
      *  reused across epochs; grown to the largest thread count seen. */
     std::vector<std::unique_ptr<WorkerScratch>> scratch_;

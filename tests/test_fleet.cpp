@@ -615,14 +615,15 @@ TEST(FleetStress, ForcedScalarMatchesBatchedUnderStealing)
 
 TEST(FleetStress, RunnersAreIndependentAfterTeardown)
 {
-    // A runner's parked threads belong to that runner; destroying it
-    // must join them (no leaked threads touching freed queues), and a
-    // fresh runner must reproduce the same report from scratch.
+    // The parked helpers belong to the shared pool and outlive every
+    // runner; destroying a runner frees only its own scratch. A fresh
+    // runner on the same pool (whose helpers last ran the destroyed
+    // runner's blocks) must reproduce the report from scratch.
     uint64_t fp_first = 0;
     {
         FleetRunner runner(raggedFleet());
         fp_first = runner.run(8).fingerprint();
-    } // ~FleetRunner joins the pool here
+    } // the runner's scratch is freed; the pool's helpers park
     FleetRunner again(raggedFleet());
     EXPECT_EQ(again.run(16).fingerprint(), fp_first);
     EXPECT_EQ(again.run(1).fingerprint(), fp_first);

@@ -1,17 +1,21 @@
 /**
  * @file
- * Tests for the chunked parallel-for in common: full disjoint
- * coverage of the index range, serial inline path, and exception
- * propagation from worker threads.
+ * Tests for the chunked parallel-for and the shared worker pool under
+ * it: full disjoint coverage of the index range, serial inline path,
+ * exception propagation from helper threads, nested calls, and
+ * concurrent callers on different threads.
  */
 
 #include <atomic>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/logging.h"
 #include "common/parallel_for.h"
+#include "common/worker_pool.h"
 
 namespace ulpdp {
 namespace {
@@ -73,6 +77,71 @@ TEST(ParallelFor, PropagatesWorkerExceptions)
                             throw std::runtime_error("boom");
                     }),
         std::runtime_error);
+}
+
+/** Run parallelFor over [0, n) and assert every index was hit once. */
+void
+expectCoveredOnce(int64_t n, int jobs, int64_t chunk)
+{
+    std::vector<std::atomic<int>> hits(static_cast<size_t>(n));
+    parallelFor(0, n, jobs, chunk, [&](int64_t lo, int64_t hi) {
+        for (int64_t i = lo; i < hi; ++i)
+            hits[static_cast<size_t>(i)].fetch_add(1);
+    });
+    for (size_t i = 0; i < hits.size(); ++i)
+        ASSERT_EQ(hits[i].load(), 1) << "i=" << i;
+}
+
+TEST(ParallelFor, HelperFatalErrorReachesCallerAndPoolRecovers)
+{
+    // Worker 0 (the caller) holds its items until a helper has
+    // thrown, so the exception provably starts on a helper thread.
+    std::atomic<bool> thrown{false};
+    EXPECT_THROW(
+        WorkerPool::instance().forEach(
+            64, 4,
+            [&](uint64_t, unsigned worker) {
+                if (worker == 0) {
+                    while (!thrown.load())
+                        std::this_thread::yield();
+                    return;
+                }
+                thrown.store(true);
+                fatal("helper worker %u failed", worker);
+            }),
+        FatalError);
+    EXPECT_TRUE(thrown.load());
+
+    // The next dispatch on the same pool runs every item again.
+    expectCoveredOnce(1000, 4, 3);
+}
+
+TEST(ParallelFor, NestedCallCoversInnerRangeOnce)
+{
+    constexpr int64_t kOuter = 8;
+    constexpr int64_t kInner = 500;
+    std::vector<std::atomic<int>> hits(
+        static_cast<size_t>(kOuter * kInner));
+    parallelFor(0, kOuter, 4, 1, [&](int64_t o, int64_t) {
+        parallelFor(0, kInner, 4, 7, [&](int64_t lo, int64_t hi) {
+            for (int64_t i = lo; i < hi; ++i)
+                hits[static_cast<size_t>(o * kInner + i)].fetch_add(1);
+        });
+    });
+    for (size_t i = 0; i < hits.size(); ++i)
+        ASSERT_EQ(hits[i].load(), 1) << "i=" << i;
+}
+
+TEST(ParallelFor, ConcurrentCallersEachCoverTheirRange)
+{
+    auto caller = [](int64_t n) {
+        for (int round = 0; round < 20; ++round)
+            expectCoveredOnce(n, 4, 5);
+    };
+    std::thread a(caller, 997);
+    std::thread b(caller, 1500);
+    a.join();
+    b.join();
 }
 
 } // anonymous namespace
