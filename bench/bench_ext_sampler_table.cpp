@@ -9,7 +9,8 @@
  * (Reference log and CORDIC log) against the table path, and the
  * per-report cost of accept-reject resampling against the truncated
  * direct-inversion sampler that serves a windowed draw in one table
- * lookup.
+ * lookup. It also times the periodic integrity scrub: one CRC-32
+ * over the whole table, with the CRC kernel it ran on.
  *
  * Acceptance target: the table path is >= 5x faster per draw than
  * the naive CORDIC pipeline it replaces.
@@ -20,6 +21,7 @@
 #include <iostream>
 
 #include "bench_util.h"
+#include "common/fault.h"
 #include "common/table.h"
 #include "rng/batch_sampler.h"
 #include "rng/fxp_laplace.h"
@@ -156,6 +158,25 @@ main(int argc, char **argv)
     std::printf("table path speedup vs naive CORDIC pipeline: %.1fx "
                 "(target >= 5x): %s\n",
                 speedup, speedup >= 5.0 ? "PASS" : "FAIL");
+
+    // --- integrity scrub --------------------------------------------
+    // The CRC-32 re-derivation BudgetController runs every
+    // table_scrub_period requests, over the whole table.
+    const int kScrubs = 200;
+    bool scrub_ok = table.verify();
+    auto ts0 = Clock::now();
+    for (int i = 0; i < kScrubs; ++i)
+        scrub_ok &= table.verify();
+    auto ts1 = Clock::now();
+    double scrub_us =
+        std::chrono::duration<double, std::micro>(ts1 - ts0).count() /
+        kScrubs;
+    std::printf("table scrub: %.1f us per verify() over %.1f KiB "
+                "(%.2f GB/s), %s crc32 kernel, %s URNG bank kernel%s\n",
+                scrub_us, table.memoryBytes() / 1024.0,
+                table.memoryBytes() / (scrub_us * 1e3),
+                crc32KernelName(), TausBank::kernelName(),
+                scrub_ok ? "" : " -- VERIFY FAILED");
 
     // --- windowed draws (resampling) -------------------------------
     // A tight window makes accept-reject redraw often; truncated
@@ -299,6 +320,8 @@ main(int argc, char **argv)
         json.field("ns_per_report_truncated_inversion", ns_trunc);
         json.field("accept_reject_draws_per_report",
                    draws_per_report);
+        json.field("scrub_us", scrub_us);
+        json.field("crc32_kernel", crc32KernelName());
         json.field("simd_kernel", TausBank::kernelName());
         json.field("batch_lanes", static_cast<uint64_t>(kLanes));
         json.field("ns_per_draw_rect_batch", ns_rect);

@@ -38,8 +38,22 @@ namespace ulpdp {
  * CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) over a byte
  * range. @p seed chains multi-buffer computations: pass the previous
  * return value to continue a running CRC.
+ *
+ * Buffers of 64 bytes or more go through a PCLMULQDQ folding kernel
+ * when it is compiled in (ULPDP_SIMD on x86-64) and cpuid reports
+ * pclmul + sse4.1; everything else runs the portable slice-by-8
+ * kernel. Both are bit-identical to the bytewise definition, so the
+ * kernel choice never changes a stored or compared code.
  */
 uint32_t crc32(const void *data, size_t len, uint32_t seed = 0);
+
+/** crc32() pinned to the portable slice-by-8 kernel, whatever the
+ *  host supports (the reference the folded kernel is tested against). */
+uint32_t crc32Portable(const void *data, size_t len, uint32_t seed = 0);
+
+/** The kernel crc32() dispatches long buffers to in this process:
+ *  "pclmul" or "slice8". */
+const char *crc32KernelName();
 
 /**
  * CRC-8 with polynomial 0x31 (x^8 + x^5 + x^4 + 1), init 0xFF -- the

@@ -11,11 +11,15 @@
  */
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstddef>
 #include <cstring>
 #include <limits>
 #include <memory>
+#include <random>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -122,6 +126,144 @@ TEST(FaultCrc, Crc8MatchesSht3xVector)
     EXPECT_EQ(crc8(data, 2), 0x92);
 }
 
+TEST(FaultCrc, Crc8CheckValue)
+{
+    // The catalogued check value of CRC-8/NRSC-5 (poly 0x31, init
+    // 0xFF, no reflection, no xorout) over "123456789".
+    EXPECT_EQ(crc8("123456789", 9), 0xF7);
+}
+
+/** Bit-at-a-time reflected CRC-32: the definition itself, sharing no
+ *  table or kernel with the library. */
+uint32_t
+bitwiseCrc32(const uint8_t *p, size_t len, uint32_t seed)
+{
+    uint32_t c = ~seed;
+    for (size_t i = 0; i < len; ++i) {
+        c ^= p[i];
+        for (int k = 0; k < 8; ++k)
+            c = (c >> 1) ^ (0xEDB88320u & (0u - (c & 1u)));
+    }
+    return ~c;
+}
+
+std::vector<uint8_t>
+randomBytes(size_t n, uint64_t seed)
+{
+    std::mt19937_64 gen(seed);
+    std::vector<uint8_t> v(n);
+    for (auto &b : v)
+        b = static_cast<uint8_t>(gen());
+    return v;
+}
+
+using Crc32Fn = uint32_t (*)(const void *, size_t, uint32_t);
+
+/** Every equivalence case of one kernel against the bitwise CRC. */
+void
+expectMatchesBitwise(Crc32Fn crc)
+{
+    const size_t kBig = 600 * 1024;
+    std::vector<uint8_t> buf = randomBytes(kBig + 64, 0xC3C32);
+    const uint8_t *b = buf.data();
+    std::mt19937_64 gen(17);
+
+    EXPECT_EQ(crc(b, 0, 0x12345678u), 0x12345678u);
+    EXPECT_EQ(crc(nullptr, 0, 0u), 0u);
+
+    // Every length 0..4096 (every fold-loop exit and tail size), at a
+    // rotating misalignment and a random seed.
+    for (size_t len = 0; len <= 4096; ++len) {
+        size_t off = len % 64;
+        uint32_t seed = static_cast<uint32_t>(gen());
+        ASSERT_EQ(crc(b + off, len, seed), bitwiseCrc32(b + off, len, seed))
+            << "len " << len << " offset " << off;
+    }
+    // Every offset 0..63 around the kernel thresholds.
+    for (size_t len : {15, 16, 17, 63, 64, 65, 127, 128, 129, 1000}) {
+        for (size_t off = 0; off < 64; ++off) {
+            uint32_t seed = static_cast<uint32_t>(gen());
+            ASSERT_EQ(crc(b + off, len, seed),
+                      bitwiseCrc32(b + off, len, seed))
+                << "len " << len << " offset " << off;
+        }
+    }
+    for (size_t len : {size_t{64 * 1024}, kBig}) {
+        size_t off = gen() % 64;
+        uint32_t seed = static_cast<uint32_t>(gen());
+        EXPECT_EQ(crc(b + off, len, seed), bitwiseCrc32(b + off, len, seed))
+            << "len " << len;
+    }
+
+    // Split-and-chain: a CRC continued piece by piece equals the CRC
+    // of the whole, for pieces shorter than the 16-byte fold, shorter
+    // than the 64-byte block, and long ones.
+    for (int trial = 0; trial < 200; ++trial) {
+        size_t total = 1 + gen() % 8192;
+        uint32_t seed = static_cast<uint32_t>(gen());
+        uint32_t running = seed;
+        size_t pos = 0;
+        while (pos < total) {
+            size_t piece;
+            switch (gen() % 3) {
+            case 0: piece = gen() % 16; break;
+            case 1: piece = gen() % 64; break;
+            default: piece = gen() % 2048; break;
+            }
+            piece = std::min(piece, total - pos);
+            running = crc(b + pos, piece, running);
+            pos += piece;
+        }
+        ASSERT_EQ(running, bitwiseCrc32(b, total, seed))
+            << "trial " << trial << " length " << total;
+    }
+}
+
+TEST(FaultCrc, KernelsMatchBitwiseReference)
+{
+    {
+        SCOPED_TRACE("portable slice-by-8 kernel");
+        expectMatchesBitwise(crc32Portable);
+    }
+    if (std::string(crc32KernelName()) != "pclmul")
+        GTEST_SKIP() << "portable kernel checked; the folded kernel "
+                        "needs ULPDP_SIMD on an x86-64 host with PCLMUL";
+    SCOPED_TRACE("PCLMULQDQ folded kernel");
+    expectMatchesBitwise(crc32);
+}
+
+TEST(FaultCrc, ConcurrentCallsAgree)
+{
+    // The threads' first CRCs race each other: no table or kernel
+    // choice may be initialised lazily without synchronisation.
+    std::vector<std::vector<uint8_t>> bufs;
+    for (size_t len : {9, 63, 64, 1000, 70000})
+        bufs.push_back(randomBytes(len, len));
+
+    constexpr int kThreads = 4;
+    std::atomic<int> ready{0};
+    std::vector<std::vector<uint32_t>> got(kThreads);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t] {
+            ready.fetch_add(1);
+            while (ready.load() < kThreads) {
+            }
+            for (int rep = 0; rep < 50; ++rep)
+                for (const auto &buf : bufs)
+                    got[t].push_back(crc32(buf.data(), buf.size()));
+        });
+    }
+    for (auto &th : threads)
+        th.join();
+
+    for (int t = 1; t < kThreads; ++t)
+        EXPECT_EQ(got[t], got[0]) << "thread " << t;
+    for (size_t i = 0; i < bufs.size(); ++i)
+        EXPECT_EQ(got[0][i], bitwiseCrc32(bufs[i].data(), bufs[i].size(), 0))
+            << "buffer " << i;
+}
+
 // ---------------------------------------------------------------------
 // URNG continuous health tests.
 // ---------------------------------------------------------------------
@@ -205,6 +347,54 @@ TEST(TableIntegrity, FlipBitBreaksAndRestoresTheCrc)
     table->flipBit(17, 3);
     EXPECT_TRUE(table->verify());
     EXPECT_EQ(table->referenceCrc(), reference);
+}
+
+TEST(TableIntegrity, SingleBitFlipDetectedAtEveryRegionEdge)
+{
+    FxpLaplaceRng rng(testParams().rngConfig(), 1);
+    LaplaceSampleTable *table = rng.mutableTable();
+    ASSERT_NE(table, nullptr);
+
+    // The flat fault space is [direct | rank | cumulative]; the scrub
+    // CRCs each array in its own crc32() call, so fold blocks restart
+    // at every region start.
+    size_t view_bytes = static_cast<size_t>(table->states()) * 2;
+    size_t cum_bytes = table->faultableBytes() - 2 * view_bytes;
+    ASSERT_GT(cum_bytes, 0u);
+    struct Region
+    {
+        size_t start, size;
+    };
+    std::vector<size_t> offsets;
+    for (Region r : {Region{0, view_bytes}, Region{view_bytes, view_bytes},
+                     Region{2 * view_bytes, cum_bytes}}) {
+        offsets.push_back(r.start);
+        offsets.push_back(r.start + r.size - 1);
+        // Both sides of sampled 64-byte block boundaries, the last
+        // full block included.
+        size_t blocks = r.size / 64;
+        for (size_t k = 1; k <= blocks; k += std::max<size_t>(1, blocks / 8)) {
+            offsets.push_back(r.start + 64 * k - 1);
+            if (64 * k < r.size)
+                offsets.push_back(r.start + 64 * k);
+        }
+        if (blocks > 0) {
+            offsets.push_back(r.start + 64 * blocks - 1);
+            if (64 * blocks < r.size)
+                offsets.push_back(r.start + 64 * blocks);
+        }
+    }
+
+    for (size_t off : offsets) {
+        for (int bit : {0, 7}) {
+            table->flipBit(off, bit);
+            EXPECT_FALSE(table->verify())
+                << "flip at byte " << off << " bit " << bit;
+            table->flipBit(off, bit);
+            EXPECT_TRUE(table->verify())
+                << "undo at byte " << off << " bit " << bit;
+        }
+    }
 }
 
 TEST(TableIntegrity, ScrubQuarantinesACorruptedTable)
