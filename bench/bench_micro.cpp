@@ -1,8 +1,9 @@
 /**
  * @file
  * Component micro-benchmarks (google-benchmark): throughput of the
- * Tausworthe URNG, the CORDIC log, the fixed-point Laplace pipeline,
- * each mechanism's noise() path and the exact privacy-loss analysis.
+ * Tausworthe URNG, the URNG health monitor, the CORDIC log, the
+ * fixed-point Laplace pipeline, each mechanism's noise() path and the
+ * exact privacy-loss analysis.
  * These quantify host-simulation speed (how fast the model runs),
  * not device latency (see bench_fig11 / bench_sec5 for cycles).
  */
@@ -23,6 +24,7 @@
 #include "rng/cordic.h"
 #include "rng/fxp_inversion.h"
 #include "rng/fxp_laplace.h"
+#include "rng/health.h"
 #include "rng/taus_bank.h"
 #include "rng/tausworthe.h"
 
@@ -106,6 +108,26 @@ BM_CordicLog(benchmark::State &state)
     }
 }
 BENCHMARK(BM_CordicLog)->Arg(16)->Arg(32)->Arg(48);
+
+void
+BM_RngHealthObserve(benchmark::State &state)
+{
+    // A healthy stream drawn up front, so the loop times observe()
+    // alone (default tests: repetition cutoff 3, window 512).
+    Tausworthe rng(1);
+    std::vector<uint32_t> words(4096);
+    for (uint32_t &w : words)
+        w = rng.next32();
+    RngHealthMonitor monitor;
+    size_t i = 0;
+    for (auto _ : state) {
+        monitor.observe(words[i]);
+        i = (i + 1) & (words.size() - 1);
+    }
+    if (monitor.alarmed())
+        state.SkipWithError("healthy stream tripped the monitor");
+}
+BENCHMARK(BM_RngHealthObserve);
 
 void
 BM_FxpLaplaceSample(benchmark::State &state)

@@ -163,7 +163,7 @@ DpBox::chargeBudget(int64_t out)
             break;
         }
     }
-    if (budget_ + 1e-12 < loss)
+    if (!budgetCovers(budget_, loss))
         return std::nullopt;
 
     // Durability gate: the spend hits flash before the noised word

@@ -34,12 +34,10 @@ CordicLog::CordicLog(int iterations, int frac_bits)
         }
     }
 
-    int max_shift = schedule_.back();
-    atanh_table_.assign(static_cast<size_t>(max_shift) + 1, 0);
-    for (int i = 1; i <= max_shift; ++i) {
-        double t = std::ldexp(1.0, -i);
-        atanh_table_[static_cast<size_t>(i)] =
-            std::llrint(std::atanh(t) * scale);
+    step_atanh_.reserve(schedule_.size());
+    for (int shift : schedule_) {
+        double t = std::ldexp(1.0, -shift);
+        step_atanh_.push_back(std::llrint(std::atanh(t) * scale));
     }
 }
 
@@ -49,19 +47,19 @@ CordicLog::atanhRatioRaw(int64_t x0, int64_t y0) const
     int64_t x = x0;
     int64_t y = y0;
     int64_t z = 0;
-    for (int shift : schedule_) {
-        int64_t xs = x >> shift;
-        int64_t ys = y >> shift;
-        if (y >= 0) {
-            // Rotate toward y = 0 from above.
-            x -= ys;
-            y -= xs;
-            z += atanh_table_[static_cast<size_t>(shift)];
-        } else {
-            x += ys;
-            y += xs;
-            z -= atanh_table_[static_cast<size_t>(shift)];
-        }
+    // Every micro-rotation turns toward y = 0. As in silicon, its
+    // direction is a mux on the sign bit of y rather than a branch:
+    // neg is 0 for y >= 0 and all ones for y < 0, and (v ^ neg) - neg
+    // is v or -v accordingly.
+    const int *shift = schedule_.data();
+    const int64_t *angle = step_atanh_.data();
+    for (size_t k = 0, n = schedule_.size(); k < n; ++k) {
+        int64_t neg = y >> 63;
+        int64_t xs = x >> shift[k];
+        int64_t ys = y >> shift[k];
+        x -= (ys ^ neg) - neg;
+        y -= (xs ^ neg) - neg;
+        z += (angle[k] ^ neg) - neg;
     }
     return z;
 }

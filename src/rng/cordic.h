@@ -11,7 +11,9 @@
  *
  * This class is a bit-accurate integer model: all iteration state is
  * held in 64-bit fixed point and the only floating-point involvement
- * is building the constant table at construction.
+ * is building the constant table at construction. Like the hardware,
+ * it picks each micro-rotation's direction with a sign-bit mux and
+ * conditional negation, so the loop has no data-dependent branch.
  */
 
 #ifndef ULPDP_RNG_CORDIC_H
@@ -75,11 +77,12 @@ class CordicLog
     int iterations_;
     int frac_bits_;
     int64_t ln2_raw_;
-    /** atanh(2^-i) table in Q frac_bits, indexed by shift amount i. */
-    std::vector<int64_t> atanh_table_;
     /** CORDIC iteration schedule (shift amount per micro-rotation,
      *  with the standard repeats at i = 4, 13, 40 for convergence). */
     std::vector<int> schedule_;
+    /** atanh(2^-schedule_[k]) in Q frac_bits, one per micro-rotation
+     *  k, so the loop reads both arrays by step. */
+    std::vector<int64_t> step_atanh_;
 };
 
 } // namespace ulpdp

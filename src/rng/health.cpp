@@ -1,5 +1,7 @@
 #include "rng/health.h"
 
+#include <bit>
+
 #include "common/logging.h"
 #include "telemetry/telemetry.h"
 
@@ -33,7 +35,8 @@ healthMetrics()
 } // anonymous namespace
 
 RngHealthMonitor::RngHealthMonitor(const RngHealthConfig &config)
-    : config_(config)
+    : config_(config),
+      planes_(std::bit_width(config.proportion_window))
 {
     if (config.repetition_cutoff < 2)
         fatal("RngHealthMonitor: repetition_cutoff must be >= 2, "
@@ -70,18 +73,28 @@ RngHealthMonitor::observe(uint32_t word)
     }
     last_word_ = word;
 
-    // Adaptive proportion, per bit lane.
+    // Adaptive proportion, per bit lane, in bit-sliced vertical
+    // counters: plane p holds bit p of all 32 lane counts, so one
+    // ripple-carry add across the planes counts the word's ones in
+    // every lane at once. W < 2^planes_, so no count can overflow.
     if (config_.proportion_window == 0)
         return;
-    for (int b = 0; b < 32; ++b)
-        lane_ones_[b] += (word >> b) & 1u;
+    uint32_t carry = word;
+    for (int p = 0; p < planes_; ++p) {
+        uint32_t plane = count_planes_[p];
+        count_planes_[p] = plane ^ carry;
+        carry &= plane;
+    }
     if (++window_fill_ < config_.proportion_window)
         return;
 
+    // Window closed: decode each lane's count from the planes.
     uint32_t half = config_.proportion_window / 2;
     uint32_t tol = config_.proportion_tolerance;
     for (int b = 0; b < 32; ++b) {
-        uint32_t ones = lane_ones_[b];
+        uint32_t ones = 0;
+        for (int p = 0; p < planes_; ++p)
+            ones |= ((count_planes_[p] >> b) & 1u) << p;
         if (ones + tol < half || ones > half + tol) {
             ++proportion_alarms_;
             if (telemetry::enabled()) {
@@ -93,8 +106,9 @@ RngHealthMonitor::observe(uint32_t word)
             }
             alarmed_ = true;
         }
-        lane_ones_[b] = 0;
     }
+    for (int p = 0; p < planes_; ++p)
+        count_planes_[p] = 0;
     window_fill_ = 0;
 }
 
@@ -108,8 +122,8 @@ RngHealthMonitor::reset()
     run_length_ = 0;
     last_word_ = 0;
     window_fill_ = 0;
-    for (int b = 0; b < 32; ++b)
-        lane_ones_[b] = 0;
+    for (uint32_t &plane : count_planes_)
+        plane = 0;
 }
 
 } // namespace ulpdp

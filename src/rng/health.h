@@ -95,9 +95,12 @@ class RngHealthMonitor
     uint32_t last_word_ = 0;
     int run_length_ = 0;
 
-    // Adaptive-proportion state: ones-count per bit lane over the
-    // current window.
-    uint32_t lane_ones_[32] = {};
+    // Adaptive-proportion state: the ones-count of each bit lane over
+    // the current window, bit-sliced -- bit b of count_planes_[p] is
+    // bit p of lane b's count. Only the low planes_ =
+    // bit_width(proportion_window) planes are used.
+    uint32_t count_planes_[32] = {};
+    int planes_ = 0;
     uint32_t window_fill_ = 0;
 };
 

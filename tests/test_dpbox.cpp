@@ -12,6 +12,8 @@
 #include "common/logging.h"
 #include "common/stats.h"
 #include "dpbox/dpbox.h"
+#include "dpbox/driver.h"
+#include "dpbox/provisioning.h"
 
 namespace ulpdp {
 namespace {
@@ -308,6 +310,66 @@ TEST(DpBox, StatsCountersTrackRequests)
     }
     EXPECT_EQ(box.stats().noising_requests, 5u);
     EXPECT_GT(box.cycles(), 10u);
+}
+
+TEST(DpBox, GoldenStreamThresholdingAndResampling)
+{
+    // Pins the device's output bits end to end: URNG, health monitor,
+    // CORDIC logarithm, s_f scaling, range control and budget logic.
+    // A datapath change that moves one output LSB, one resample or
+    // one budget halt changes these constants; accuracy tests alone
+    // would not notice.
+    struct Golden
+    {
+        RangeControl kind;
+        uint64_t hash;
+        uint64_t resamples;
+        uint64_t cache_hits;
+        uint64_t cycles;
+    };
+    const Golden golden[] = {
+        {RangeControl::Thresholding, 0x19a2147c96ad359bULL, 0, 39027,
+         300006},
+        {RangeControl::Resampling, 0x68d811ad6ba6a488ULL, 320, 38992,
+         300326},
+    };
+    for (const Golden &g : golden) {
+        PrivacyIntent intent;
+        intent.range = SensorRange(0.0, 10.0);
+        intent.epsilon = 0.5;
+        intent.loss_multiple = 2.0;
+        intent.kind = g.kind;
+        intent.budget = 40.0;
+        intent.replenish_period = 300;
+        ProvisioningPlan plan = Provisioner::plan(intent);
+        plan.device.seed = 0x5eed;
+        ASSERT_TRUE(plan.device.harden_faults);
+        ASSERT_TRUE(plan.device.budget_enabled);
+
+        DpBoxDriver driver(plan.device);
+        driver.initialize(intent.budget, intent.replenish_period);
+        driver.configure(plan.effective_epsilon, plan.range);
+        const DpBox &box = driver.device();
+
+        // FNV-1a over the raw output words, little-endian bytes.
+        uint64_t hash = 0xcbf29ce484222325ULL;
+        for (int i = 0; i < 100000; ++i) {
+            // Readings sweep the range and a little beyond it.
+            driver.noise(-1.0 + 12.0 * (i % 97) / 96.0);
+            uint64_t word = static_cast<uint64_t>(box.output());
+            for (int byte = 0; byte < 8; ++byte) {
+                hash ^= (word >> (8 * byte)) & 0xffu;
+                hash *= 0x100000001b3ULL;
+            }
+        }
+        const char *mode = g.kind == RangeControl::Thresholding
+                               ? "thresholding" : "resampling";
+        EXPECT_FALSE(box.faultLatched()) << mode;
+        EXPECT_EQ(hash, g.hash) << mode;
+        EXPECT_EQ(box.stats().resamples, g.resamples) << mode;
+        EXPECT_EQ(box.stats().cache_hits, g.cache_hits) << mode;
+        EXPECT_EQ(box.stats().cycles, g.cycles) << mode;
+    }
 }
 
 } // anonymous namespace

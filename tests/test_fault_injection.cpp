@@ -20,6 +20,7 @@
 #include <random>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -320,6 +321,167 @@ TEST(RngHealth, RejectsVacuousConfig)
     RngHealthConfig cfg;
     cfg.repetition_cutoff = 1;
     EXPECT_THROW(RngHealthMonitor{cfg}, FatalError);
+}
+
+/**
+ * The per-lane proportion loop and the repetition count, as the
+ * reference the bit-sliced counters must match word for word.
+ */
+class PerLaneHealth
+{
+  public:
+    explicit PerLaneHealth(const RngHealthConfig &config)
+        : config_(config)
+    {
+    }
+
+    void
+    observe(uint32_t word)
+    {
+        ++observed_;
+        if (observed_ > 1 && word == last_word_) {
+            if (++run_length_ >= config_.repetition_cutoff) {
+                ++repetition_alarms_;
+                alarmed_ = true;
+                run_length_ = 1;
+            }
+        } else {
+            run_length_ = 1;
+        }
+        last_word_ = word;
+
+        if (config_.proportion_window == 0)
+            return;
+        for (int b = 0; b < 32; ++b)
+            lane_ones_[b] += (word >> b) & 1u;
+        if (++window_fill_ < config_.proportion_window)
+            return;
+        uint32_t half = config_.proportion_window / 2;
+        uint32_t tol = config_.proportion_tolerance;
+        for (int b = 0; b < 32; ++b) {
+            max_lane_count_ = std::max(max_lane_count_, lane_ones_[b]);
+            if (lane_ones_[b] + tol < half ||
+                lane_ones_[b] > half + tol) {
+                ++proportion_alarms_;
+                alarmed_ = true;
+            }
+            lane_ones_[b] = 0;
+        }
+        window_fill_ = 0;
+    }
+
+    bool alarmed() const { return alarmed_; }
+    uint64_t repetitionAlarms() const { return repetition_alarms_; }
+    uint64_t proportionAlarms() const { return proportion_alarms_; }
+    uint64_t observed() const { return observed_; }
+    /** Largest lane count seen at a window close. */
+    uint32_t maxLaneCount() const { return max_lane_count_; }
+
+  private:
+    RngHealthConfig config_;
+    bool alarmed_ = false;
+    uint64_t observed_ = 0;
+    uint64_t repetition_alarms_ = 0;
+    uint64_t proportion_alarms_ = 0;
+    uint32_t last_word_ = 0;
+    int run_length_ = 0;
+    uint32_t lane_ones_[32] = {};
+    uint32_t window_fill_ = 0;
+    uint32_t max_lane_count_ = 0;
+};
+
+TEST(RngHealth, BitSlicedCountsMatchPerLaneReference)
+{
+    enum class Stream
+    {
+        Random,
+        StuckOneLane,
+        StuckZeroLane,
+        StuckWord,
+        TogglingLane,
+        CrossesWindowMidAlarm,
+    };
+    const Stream streams[] = {
+        Stream::Random,       Stream::StuckOneLane,
+        Stream::StuckZeroLane, Stream::StuckWord,
+        Stream::TogglingLane, Stream::CrossesWindowMidAlarm,
+    };
+    // {window, tolerance}: disabled, tiny (frequent random alarms),
+    // the default, and a window that is not a power of two.
+    const std::pair<uint32_t, uint32_t> windows[] = {
+        {0, 68}, {16, 4}, {512, 68}, {1000, 95}};
+
+    for (auto [window, tol] : windows) {
+        for (Stream stream : streams) {
+            RngHealthConfig cfg;
+            cfg.proportion_window = window;
+            cfg.proportion_tolerance = tol;
+            RngHealthMonitor monitor(cfg);
+            PerLaneHealth ref(cfg);
+            std::mt19937 rng(window + 31 * static_cast<uint32_t>(stream));
+            // Where CrossesWindowMidAlarm turns faulty: a quarter
+            // window before the first boundary.
+            uint32_t boundary = window > 0 ? window : 300;
+            uint32_t fault_start = boundary - boundary / 4;
+            uint32_t words = 3 * boundary + boundary / 2;
+            uint64_t first_alarm = 0;
+            uint64_t ref_first_alarm = 0;
+            for (uint32_t i = 0; i < words; ++i) {
+                uint32_t w = static_cast<uint32_t>(rng());
+                switch (stream) {
+                  case Stream::Random:
+                    break;
+                  case Stream::StuckOneLane:
+                    w |= 1u << 5;
+                    break;
+                  case Stream::StuckZeroLane:
+                    w &= ~(1u << 17);
+                    break;
+                  case Stream::StuckWord:
+                    if (i >= boundary / 3)
+                        w = 0xDEADBEEF;
+                    break;
+                  case Stream::TogglingLane:
+                    w = (w & ~(1u << 31)) | ((i & 1u) << 31);
+                    break;
+                  case Stream::CrossesWindowMidAlarm:
+                    // A stuck lane and a repetition run that both
+                    // straddle the window boundary.
+                    if (i >= fault_start)
+                        w |= 1u;
+                    if (i + 2 >= boundary && i <= boundary + 2)
+                        w = 0x0F0F0F0F;
+                    break;
+                }
+                monitor.observe(w);
+                ref.observe(w);
+                if (monitor.alarmed() && first_alarm == 0)
+                    first_alarm = monitor.observed();
+                if (ref.alarmed() && ref_first_alarm == 0)
+                    ref_first_alarm = ref.observed();
+                ASSERT_EQ(monitor.alarmed(), ref.alarmed())
+                    << "window " << window << " stream "
+                    << static_cast<int>(stream) << " word " << i;
+                ASSERT_EQ(monitor.repetitionAlarms(),
+                          ref.repetitionAlarms())
+                    << "window " << window << " stream "
+                    << static_cast<int>(stream) << " word " << i;
+                ASSERT_EQ(monitor.proportionAlarms(),
+                          ref.proportionAlarms())
+                    << "window " << window << " stream "
+                    << static_cast<int>(stream) << " word " << i;
+                ASSERT_EQ(monitor.observed(), ref.observed());
+            }
+            EXPECT_EQ(first_alarm, ref_first_alarm)
+                << "window " << window << " stream "
+                << static_cast<int>(stream);
+            if (window > 0 && stream == Stream::StuckOneLane) {
+                // A lane count of exactly W needs the top plane.
+                EXPECT_EQ(ref.maxLaneCount(), window);
+                EXPECT_GT(monitor.proportionAlarms(), 0u);
+            }
+        }
+    }
 }
 
 // ---------------------------------------------------------------------

@@ -92,6 +92,20 @@ TEST(Timeseries, DiurnalRejectsZeroPeriod)
                  FatalError);
 }
 
+TEST(Timeseries, DiurnalZeroJitterIsTheExactCurve)
+{
+    size_t period = 24;
+    auto d = timeseries::diurnal(100, kRange, 9.0, 3.0, period, 0.0, 3);
+    for (size_t t = 0; t < d.size(); ++t) {
+        double phase = 2.0 * M_PI * static_cast<double>(t) /
+                       static_cast<double>(period);
+        EXPECT_EQ(d[t], kRange.clamp(9.0 + 3.0 * std::sin(phase)))
+            << "t=" << t;
+    }
+    EXPECT_THROW(timeseries::diurnal(10, kRange, 5.0, 1.0, 24, -0.1, 1),
+                 FatalError);
+}
+
 TEST(Timeseries, LevelsAreDiscrete)
 {
     auto l = timeseries::piecewiseLevels(5000, kRange, 5, 0.02, 6);
