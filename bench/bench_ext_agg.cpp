@@ -97,7 +97,6 @@ makeConfig(uint64_t nodes, uint32_t reports, bool agg_on)
         // mass onto the window-edge atoms, which is the bias the
         // decoder exists to undo.
         c.data_mean = 7.5;
-        c.data_mean_set = true;
         c.analyze_loss = false;
         c.agg.enabled = agg_on;
         return c;

@@ -8,6 +8,7 @@
 #include <cstring>
 #include <limits>
 #include <optional>
+#include <span>
 
 #include "common/logging.h"
 #include "common/worker_pool.h"
@@ -34,6 +35,9 @@ constexpr uint64_t kTrialKey = 0xc2b2ae3d27d4eb4fULL;
 
 // Salt selecting the synthetic-data substream of a node seed.
 constexpr uint64_t kDataSalt = 0x64617461ULL; // "data"
+
+// Bins of every cohort's released-value histogram.
+constexpr size_t kHistogramBins = 64;
 
 uint64_t
 doubleBits(double v)
@@ -80,57 +84,10 @@ foldStats(uint64_t acc, const RunningStats &s)
     return foldBytes(acc, w, sizeof w);
 }
 
-/** Run-level fleet metrics. The per-cohort counters are registered
- *  lazily at publish time because their label sets depend on the
- *  cohort names in the configuration. */
-struct FleetMetrics
-{
-    Counter &runs = telemetry::registry().counter(
-        "ulpdp_fleet_runs_total",
-        "Fleet epochs executed",
-        "runs");
-    Gauge &throughput = telemetry::registry().gauge(
-        "ulpdp_fleet_reports_per_second",
-        "Throughput of the most recent fleet epoch",
-        "reports/s");
-    Gauge &threads = telemetry::registry().gauge(
-        "ulpdp_fleet_threads",
-        "Worker threads of the most recent fleet epoch",
-        "threads");
-    LatencyHistogram &seconds = telemetry::registry().histogram(
-        "ulpdp_fleet_epoch_seconds",
-        "Wall-clock duration per fleet epoch",
-        "seconds",
-        {0.001, 0.01, 0.1, 0.5, 1.0, 5.0, 30.0, 120.0});
-    Gauge &batch_lanes = telemetry::registry().gauge(
-        "ulpdp_batch_lanes",
-        "URNG lanes stepped in lockstep by the batch sampling bank",
-        "lanes");
-    Gauge &batch_prefetch = telemetry::registry().gauge(
-        "ulpdp_batch_prefetch_batch_size",
-        "Table slots prefetched ahead per batched trial row",
-        "slots");
-    Counter &batch_fallbacks = telemetry::registry().counter(
-        "ulpdp_batch_scalar_fallbacks_total",
-        "Blocks redone on the scalar path after a batch-sampler bail",
-        "blocks");
-    Counter &rng_clones = telemetry::registry().counter(
-        "ulpdp_fleet_rng_clones_total",
-        "Prototype RNG clones made by fleet workers",
-        "clones");
-};
-
-FleetMetrics &
-fleetMetrics()
-{
-    static FleetMetrics m;
-    return m;
-}
-
 /**
  * Publish one merged cohort's counters into the process registry.
  *
- * Runs on the main thread *after* the block-order merge: the worker
+ * Runs on the main thread *after* the block-order merge: the block
  * slabs (BlockAccum) already are the per-shard metric slabs, so
  * publishing their merged totals here keeps the hot path free of any
  * shared-cacheline traffic and cannot perturb the bit-identical
@@ -141,34 +98,34 @@ publishCohort(const CohortResult &res)
 {
     MetricRegistry &reg = telemetry::registry();
     std::string labels = "cohort=\"" + res.name + "\"";
-    reg.counter("ulpdp_fleet_reports_total",
-                "Reports released across the fleet by cohort",
-                "reports", labels)
-        .inc(res.reports);
-    reg.counter("ulpdp_fleet_fresh_reports_total",
-                "Fresh (budget-charged) reports by cohort",
-                "reports", labels)
-        .inc(res.fresh_reports);
-    reg.counter("ulpdp_fleet_cache_replays_total",
-                "Budget-exhausted cache replays by cohort",
-                "reports", labels)
-        .inc(res.cache_replays);
-    reg.counter("ulpdp_fleet_samples_drawn_total",
-                "Laplace samples drawn by cohort",
-                "samples", labels)
-        .inc(res.samples_drawn);
-    reg.counter("ulpdp_fleet_resample_overflows_total",
-                "Resampling draws degraded to a window clamp",
-                "draws", labels)
-        .inc(res.resample_overflows);
-    reg.counter("ulpdp_fleet_nodes_exhausted_total",
-                "Node-epochs whose budget ran out mid-epoch",
-                "nodes", labels)
-        .inc(res.nodes_exhausted);
-    reg.counter("ulpdp_fleet_rng_integrity_detections_total",
-                "Sampler-table integrity faults detected",
-                "faults", labels)
-        .inc(res.rng_integrity_detections);
+    const struct
+    {
+        const char *name, *help, *unit;
+        uint64_t value;
+    } counters[] = {
+        {"ulpdp_fleet_reports_total",
+         "Reports released across the fleet by cohort", "reports",
+         res.reports},
+        {"ulpdp_fleet_fresh_reports_total",
+         "Fresh (budget-charged) reports by cohort", "reports",
+         res.fresh_reports},
+        {"ulpdp_fleet_cache_replays_total",
+         "Budget-exhausted cache replays by cohort", "reports",
+         res.cache_replays},
+        {"ulpdp_fleet_samples_drawn_total",
+         "Laplace samples drawn by cohort", "samples", res.samples_drawn},
+        {"ulpdp_fleet_resample_overflows_total",
+         "Resampling draws degraded to a window clamp", "draws",
+         res.resample_overflows},
+        {"ulpdp_fleet_nodes_exhausted_total",
+         "Node-epochs whose budget ran out mid-epoch", "nodes",
+         res.nodes_exhausted},
+        {"ulpdp_fleet_rng_integrity_detections_total",
+         "Sampler-table integrity faults detected", "faults",
+         res.rng_integrity_detections},
+    };
+    for (const auto &c : counters)
+        reg.counter(c.name, c.help, c.unit, labels).inc(c.value);
     if (res.agg) {
         reg.counter("ulpdp_agg_ingested_reports_total",
                     "Reports folded into the streaming sketches",
@@ -199,15 +156,55 @@ publishCohort(const CohortResult &res)
     }
 }
 
+/** Publish the run-level metrics of one merged epoch. The batch-layer
+ *  gauges and counters never feed the FleetReport: the determinism
+ *  contract is about the merged result, not which path produced it. */
+void
+publishFleet(const FleetReport &report, uint64_t batch_fallbacks,
+             uint64_t rng_clones)
+{
+    MetricRegistry &reg = telemetry::registry();
+    reg.counter("ulpdp_fleet_runs_total", "Fleet epochs executed", "runs")
+        .inc();
+    reg.gauge("ulpdp_fleet_reports_per_second",
+              "Throughput of the most recent fleet epoch", "reports/s")
+        .set(report.reportsPerSecond());
+    reg.gauge("ulpdp_fleet_threads",
+              "Worker threads of the most recent fleet epoch", "threads")
+        .set(static_cast<double>(report.threads));
+    reg.histogram("ulpdp_fleet_epoch_seconds",
+                  "Wall-clock duration per fleet epoch", "seconds",
+                  {0.001, 0.01, 0.1, 0.5, 1.0, 5.0, 30.0, 120.0})
+        .observe(report.seconds);
+    reg.gauge("ulpdp_batch_lanes",
+              "URNG lanes stepped in lockstep by the batch sampling bank",
+              "lanes")
+        .set(static_cast<double>(TausBank::kMaxLanes));
+    reg.gauge("ulpdp_batch_prefetch_batch_size",
+              "Table slots prefetched ahead per batched trial row",
+              "slots")
+        .set(static_cast<double>(TausBank::kMaxLanes));
+    reg.counter("ulpdp_batch_scalar_fallbacks_total",
+                "Blocks redone on the scalar path after a batch-sampler "
+                "bail", "blocks")
+        .inc(batch_fallbacks);
+    reg.counter("ulpdp_fleet_rng_clones_total",
+                "Prototype RNG clones made by fleet workers", "clones")
+        .inc(rng_clones);
+}
+
 } // anonymous namespace
 
+namespace fleet_detail {
+
 /**
- * Everything a worker needs about one cohort, resolved once on the
- * main thread: grid indices, window, threshold, affordable report
- * count, the prototype RNG whose enumerated table every per-block
- * copy shares read-only, and the exact loss verdict.
+ * Everything the executors need about one cohort, resolved once on
+ * the main thread: grid indices, window, affordable report count, the
+ * prototype RNG whose table every worker shares read-only, the exact
+ * loss verdict and the cohort's span of the block list. It borrows
+ * its CohortConfig and holds nothing per node.
  */
-struct FleetRunner::CohortPlan
+struct CohortPlan
 {
     /**
      * The cohort's mechanism, resolved through the registry before
@@ -235,175 +232,35 @@ struct FleetRunner::CohortPlan
 
     static Mech resolveMechanism(const CohortConfig &c);
 
-    CohortPlan(const CohortConfig &c, uint32_t cohort_index)
-        : CohortPlan(c, cohort_index, resolveMechanism(c))
-    {}
-
-    CohortPlan(const CohortConfig &c, uint32_t cohort_index, Mech m)
-        : cfg(c), index(cohort_index), mech(std::move(m)),
-          proto(mech.params.rngConfig(), /*seed=*/1)
-    {
-        nodes = cfg.values.empty()
-            ? cfg.nodes
-            : static_cast<uint64_t>(cfg.values.size());
-        if (nodes == 0)
-            fatal("FleetRunner: cohort '%s' has no nodes (set nodes "
-                  "or provide values)", cfg.name.c_str());
-        if (cfg.reports_per_node == 0)
-            fatal("FleetRunner: cohort '%s': reports_per_node must "
-                  "be positive", cfg.name.c_str());
-
-        delta = proto.quantizer().delta();
-        lo_index = static_cast<int64_t>(
-            std::llround(cfg.params.range.lo / delta));
-        hi_index = static_cast<int64_t>(
-            std::llround(cfg.params.range.hi / delta));
-        mid_value = 0.5 * (cfg.params.range.lo + cfg.params.range.hi);
-        lambda = mech.params.lambda();
-
-        // Every registered mechanism guarantees the loss_multiple *
-        // eps per-query bound (that is what certification enforces);
-        // only the uncontrolled yardsticks charge plain eps.
-        const bool controlled = !mech.ideal && !mech.naive;
-        threshold = mech.threshold;
-        win_lo = lo_index - threshold;
-        win_hi = hi_index + threshold;
-
-        // Worst-case flat charge per fresh report (never undercharges,
-        // and the affordable count needs no randomness to evaluate).
-        per_report_charge = controlled
-            ? cfg.loss_multiple * cfg.params.epsilon
-            : cfg.params.epsilon;
-        fresh_per_node = cfg.reports_per_node;
-        if (cfg.budget_per_node > 0.0) {
-            uint32_t f = 0;
-            double remaining = cfg.budget_per_node;
-            while (f < cfg.reports_per_node &&
-                   budgetCovers(remaining, per_report_charge)) {
-                remaining -= per_report_charge;
-                ++f;
-            }
-            fresh_per_node = f;
-        }
-
-        // Synthetic-data shape defaults: centered, range/6 std.
-        data_mean = cfg.data_mean_set
-            ? cfg.data_mean
-            : mid_value;
-        data_std = cfg.data_std > 0.0
-            ? cfg.data_std
-            : cfg.params.range.length() / 6.0;
-
-        // Released-value histogram: the exact window for controlled
-        // mechanisms, a generous +-2 lambda apron otherwise (the
-        // under/overflow buckets catch the rest).
-        double ext = controlled
-            ? static_cast<double>(threshold) * delta
-            : 2.0 * lambda;
-        hist_lo = cfg.params.range.lo - ext;
-        hist_hi = cfg.params.range.hi + ext;
-
-        // Enumerate the sampling table once, before any worker copies
-        // the prototype: every copy then shares it read-only. The
-        // shared handle also feeds the batch sampling layer, so the
-        // whole fleet references one enumeration.
-        if (!mech.ideal)
-            table = proto.sharedTable();
-        batch_ok = table != nullptr && fresh_per_node > 0;
-
-        worst_loss = cfg.params.epsilon;
-        ldp = true;
-        if (cfg.analyze_loss && !mech.ideal) {
-            LossReport rep;
-            if (mech.naive) {
-                ThresholdCalculator calc(cfg.params);
-                NaiveOutputModel model(calc.pmf(), calc.span());
-                rep = PrivacyLossAnalyzer::analyze(model);
-            } else {
-                rep = PrivacyLossAnalyzer::analyze(*outputModel());
-            }
-            worst_loss = rep.bounded
-                ? rep.worst_case_loss
-                : std::numeric_limits<double>::infinity();
-            double bound =
-                cfg.loss_multiple * cfg.params.epsilon + 1e-9;
-            ldp = rep.bounded && rep.worst_case_loss <= bound;
-        } else if (mech.naive) {
-            worst_loss = std::numeric_limits<double>::infinity();
-            ldp = false;
-        }
-
-        // Streaming aggregation: resolve the sketch window from the
-        // mechanism's exact output model and precompute the unbiased
-        // channel-inversion decoder, once, on the main thread. Ideal
-        // cohorts have no output grid and skip the layer.
-        if (cfg.agg.enabled && !mech.ideal) {
-            std::unique_ptr<DiscreteOutputModel> model;
-            if (mech.naive) {
-                ThresholdCalculator calc(cfg.params);
-                model = std::make_unique<NaiveOutputModel>(
-                    calc.pmf(), calc.span());
-            } else {
-                model = outputModel();
-            }
-            decoder =
-                std::make_shared<agg::FrequencyDecoder>(*model);
-            agg_out_lo = lo_index + model->outputLo();
-            agg_span = decoder->numOutputs();
-            agg_rows = cfg.agg.per_trial ? cfg.reports_per_node : 1;
-            agg_on = true;
-        } else if (cfg.agg.enabled) {
-            warn("FleetRunner: cohort '%s': streaming aggregation "
-                 "has no output grid under the 'ideal' mechanism; "
-                 "disabled", cfg.name.c_str());
-        }
-
-        // Exact accumulation window: every output index a report can
-        // take. Range control confines outputs to the threshold
-        // window; the naive yardstick reaches the pipeline's largest
-        // magnitude (URNG index 1; the pipeline is monotone) either
-        // side of the range. The agg sketch window is the same
-        // support (the mechanism's exact output model), so with agg
-        // on the two tallies share one buffer.
-        if (agg_on) {
-            slot_lo = agg_out_lo;
-            slot_span = agg_span;
-        } else if (controlled) {
-            slot_lo = win_lo;
-            slot_span = static_cast<size_t>(win_hi - win_lo + 1);
-        } else if (!mech.ideal) {
-            int64_t reach = proto.pipeline(1, 1);
-            slot_lo = lo_index - reach;
-            slot_span =
-                static_cast<size_t>(hi_index - lo_index + 2 * reach + 1);
-        }
-        mid_slot = static_cast<int64_t>(std::llround(mid_value / delta));
-    }
+    CohortPlan(const CohortConfig &c, uint32_t cohort_index);
 
     /**
-     * The exact conditional output model of a registry-selected
-     * mechanism, built from the registered factory (never called for
-     * Ideal/Naive). Passing the already-resolved threshold back
-     * through the spec skips a second exact-index search.
+     * The exact conditional output model of the cohort's mechanism
+     * (never called for Ideal): the naive pipeline's, or the
+     * registered factory's. Passing the already-resolved threshold
+     * back through the spec skips a second exact-index search.
      */
     std::unique_ptr<DiscreteOutputModel>
     outputModel() const
     {
+        if (mech.naive) {
+            ThresholdCalculator calc(cfg.params);
+            return std::make_unique<NaiveOutputModel>(calc.pmf(),
+                                                      calc.span());
+        }
         MechanismSpec spec;
         spec.params = cfg.params;
         spec.loss_multiple = cfg.loss_multiple;
-        spec.threshold_index = threshold;
+        spec.threshold_index = mech.threshold;
         return MechanismRegistry::instance()
             .at(cfg.mechanism_name).model(spec);
     }
 
-    uint64_t
-    numBlocks(uint32_t block_nodes) const
-    {
-        return (nodes + block_nodes - 1) / block_nodes;
-    }
+    void analyzeLoss();
+    void planWindow();
 
-    CohortConfig cfg;
+    /** Borrowed from FleetRunner::config_ (outlives the plan). */
+    const CohortConfig &cfg;
     uint32_t index;
     /** Registry-resolved mechanism (declared before `proto`: the
      *  prototype RNG is built from the resolved parameter block). */
@@ -417,11 +274,11 @@ struct FleetRunner::CohortPlan
     double delta = 1.0;
     int64_t lo_index = 0;
     int64_t hi_index = 0;
-    int64_t threshold = 0;
     int64_t win_lo = 0;
     int64_t win_hi = 0;
     double mid_value = 0.0;
     double lambda = 1.0;
+    /** Synthetic-data shape. */
     double data_mean = 0.0;
     double data_std = 1.0;
     double hist_lo = 0.0;
@@ -435,26 +292,163 @@ struct FleetRunner::CohortPlan
 
     /** Streaming aggregation (resolved from cfg.agg; off for Ideal). */
     bool agg_on = false;
-    /** Absolute output grid index of sketch slot 0. */
-    int64_t agg_out_lo = 0;
-    /** Output slots per trial row. */
-    size_t agg_span = 0;
-    /** Trial rows in the slot array (reports_per_node if per-trial). */
-    uint32_t agg_rows = 1;
     /** Shared precomputed channel pseudo-inverse. */
     std::shared_ptr<const agg::FrequencyDecoder> decoder;
 
     /** Exact accumulation window: absolute output index of slot 0
-     *  and slot count (0 for Ideal cohorts, which have no grid). */
+     *  and slot count (0 for Ideal cohorts, which have no grid). With
+     *  agg on this is also the sketch window. */
     int64_t slot_lo = 0;
     size_t slot_span = 0;
     /** Grid slot nearest the range midpoint, the report a node
      *  without any fresh report replays. */
     int64_t mid_slot = 0;
+
+    /** The cohort's span of the runner's block list, node order. */
+    uint64_t first_block = 0;
+    uint64_t num_blocks = 0;
 };
 
-FleetRunner::CohortPlan::Mech
-FleetRunner::CohortPlan::resolveMechanism(const CohortConfig &c)
+CohortPlan::CohortPlan(const CohortConfig &c, uint32_t cohort_index)
+    : cfg(c), index(cohort_index), mech(resolveMechanism(c)),
+      proto(mech.params.rngConfig(), /*seed=*/1)
+{
+    const char *name = cfg.name.c_str();
+    nodes = cfg.values.empty()
+        ? cfg.nodes
+        : static_cast<uint64_t>(cfg.values.size());
+    if (nodes == 0)
+        fatal("FleetRunner: cohort '%s' has no nodes (set nodes "
+              "or provide values)", name);
+    if (cfg.reports_per_node == 0)
+        fatal("FleetRunner: cohort '%s': reports_per_node must "
+              "be positive", name);
+    // Fail secure: a negative or NaN budget would fail the metering
+    // test below and run unmetered; a non-finite reading has no index.
+    if (!(std::isfinite(cfg.budget_per_node) &&
+          cfg.budget_per_node >= 0.0))
+        fatal("FleetRunner: cohort '%s': budget_per_node must be "
+              "finite and >= 0 (0 disables metering), got %g", name,
+              cfg.budget_per_node);
+    if (cfg.data_mean && !std::isfinite(*cfg.data_mean))
+        fatal("FleetRunner: cohort '%s': data_mean must be finite",
+              name);
+    auto bad = std::find_if_not(cfg.values.begin(), cfg.values.end(),
+                                [](double v) { return std::isfinite(v); });
+    if (bad != cfg.values.end())
+        fatal("FleetRunner: cohort '%s': values[%zu] is not finite "
+              "(%g)", name,
+              static_cast<size_t>(bad - cfg.values.begin()), *bad);
+
+    delta = proto.quantizer().delta();
+    const SensorRange &range = cfg.params.range;
+    lo_index = static_cast<int64_t>(std::llround(range.lo / delta));
+    hi_index = static_cast<int64_t>(std::llround(range.hi / delta));
+    mid_value = 0.5 * (range.lo + range.hi);
+    mid_slot = static_cast<int64_t>(std::llround(mid_value / delta));
+    lambda = mech.params.lambda();
+    win_lo = lo_index - mech.threshold;
+    win_hi = hi_index + mech.threshold;
+    data_mean = cfg.data_mean.value_or(mid_value);
+    data_std = range.length() / 6.0;
+
+    // Every registered mechanism guarantees the loss_multiple * eps
+    // per-query bound (that is what certification enforces); only the
+    // uncontrolled yardsticks charge plain eps. The flat worst-case
+    // charge never undercharges, and the affordable count needs no
+    // randomness to evaluate.
+    const bool controlled = !mech.ideal && !mech.naive;
+    per_report_charge = controlled
+        ? cfg.loss_multiple * cfg.params.epsilon
+        : cfg.params.epsilon;
+    fresh_per_node = cfg.reports_per_node;
+    if (cfg.budget_per_node > 0.0) {
+        uint32_t f = 0;
+        double remaining = cfg.budget_per_node;
+        while (f < cfg.reports_per_node &&
+               budgetCovers(remaining, per_report_charge)) {
+            remaining -= per_report_charge;
+            ++f;
+        }
+        fresh_per_node = f;
+    }
+
+    // Released-value histogram: the exact window for controlled
+    // mechanisms, a generous +-2 lambda apron otherwise (the
+    // under/overflow buckets catch the rest).
+    double ext = controlled
+        ? static_cast<double>(mech.threshold) * delta
+        : 2.0 * lambda;
+    hist_lo = range.lo - ext;
+    hist_hi = range.hi + ext;
+
+    // Enumerate the sampling table once, before any worker copies the
+    // prototype: every copy then shares it read-only. The shared
+    // handle also feeds the batch sampling layer, so the whole fleet
+    // references one enumeration.
+    if (!mech.ideal)
+        table = proto.sharedTable();
+    batch_ok = table != nullptr && fresh_per_node > 0;
+
+    analyzeLoss();
+    planWindow();
+}
+
+/** The exact whole-support loss verdict (analyze_loss cohorts). */
+void
+CohortPlan::analyzeLoss()
+{
+    worst_loss = cfg.params.epsilon;
+    ldp = true;
+    if (cfg.analyze_loss && !mech.ideal) {
+        LossReport rep = PrivacyLossAnalyzer::analyze(*outputModel());
+        worst_loss = rep.bounded
+            ? rep.worst_case_loss
+            : std::numeric_limits<double>::infinity();
+        double bound = cfg.loss_multiple * cfg.params.epsilon + 1e-9;
+        ldp = rep.bounded && rep.worst_case_loss <= bound;
+    } else if (mech.naive) {
+        worst_loss = std::numeric_limits<double>::infinity();
+        ldp = false;
+    }
+}
+
+/**
+ * The exact accumulation window, every output index a report can
+ * take: with agg on, the support of the exact output model (whose
+ * decoder is precomputed here, once); else the threshold window, or
+ * for naive the pipeline's largest magnitude (URNG index 1; the
+ * pipeline is monotone) either side of the range.
+ */
+void
+CohortPlan::planWindow()
+{
+    if (mech.ideal) {
+        if (cfg.agg.enabled)
+            warn("FleetRunner: cohort '%s': streaming aggregation "
+                 "has no output grid under the 'ideal' mechanism; "
+                 "disabled", cfg.name.c_str());
+        return;
+    }
+    if (cfg.agg.enabled) {
+        std::unique_ptr<DiscreteOutputModel> model = outputModel();
+        decoder = std::make_shared<agg::FrequencyDecoder>(*model);
+        slot_lo = lo_index + model->outputLo();
+        slot_span = decoder->numOutputs();
+        agg_on = true;
+    } else if (!mech.naive) {
+        slot_lo = win_lo;
+        slot_span = static_cast<size_t>(win_hi - win_lo + 1);
+    } else {
+        int64_t reach = proto.pipeline(1, 1);
+        slot_lo = lo_index - reach;
+        slot_span =
+            static_cast<size_t>(hi_index - lo_index + 2 * reach + 1);
+    }
+}
+
+CohortPlan::Mech
+CohortPlan::resolveMechanism(const CohortConfig &c)
 {
     if (!(c.params.epsilon > 0.0))
         fatal("FleetRunner: cohort '%s': epsilon must be "
@@ -497,7 +491,6 @@ FleetRunner::CohortPlan::resolveMechanism(const CohortConfig &c)
     MechanismSpec spec;
     spec.params = c.params;
     spec.loss_multiple = c.loss_multiple;
-    spec.threshold_index = c.threshold_index;
     MechanismLowering low = entry->lower(spec);
     m.params = low.params;
     m.threshold = low.threshold_index;
@@ -507,106 +500,11 @@ FleetRunner::CohortPlan::resolveMechanism(const CohortConfig &c)
 }
 
 /**
- * Worker-slot scratch that persists across blocks and epochs: the
- * steady-state hot loop allocates nothing and clones nothing.
- *
- * The cached FxpLaplaceRng clone and BatchSampler are keyed by cohort
- * index; both are rebuilt only on a cohort switch (or after an
- * integrity fault poisons the RNG clone). The BatchSampler is the
- * only object that holds the cohort table's shared_ptr -- taking that
- * copy once per cohort switch instead of once per block keeps the
- * control block's refcount line out of the cross-core traffic that
- * serialized PR 3's hot loop. A reused clone is indistinguishable
- * from a fresh one: streams are reseeded per node and counters are
- * read as per-block deltas.
- *
- * The 64-byte alignment keeps one worker's telemetry deltas
- * (fallbacks/clones, bumped per block) off its neighbours' lines.
- */
-struct alignas(64) FleetRunner::WorkerScratch
-{
-    /**
-     * One cohort's private accumulation shard: the exact report tally
-     * of a grid cohort (holding the worker's agg sketch when agg is
-     * on), or an Ideal cohort's histogram. Both are integer counts,
-     * so shards merge in any order. Heap-owned per cohort, so one
-     * slab's counters never share a line with another worker's.
-     */
-    struct CohortSlab
-    {
-        GridTally tally;
-        std::optional<Histogram> ideal_hist;
-
-        explicit CohortSlab(const CohortPlan &plan)
-        {
-            const CohortConfig &cfg = plan.cfg;
-            if (plan.mech.ideal)
-                return;
-            if (plan.agg_on)
-                tally = GridTally(
-                    agg::CohortSketch(
-                        cfg.agg, plan.agg_span, plan.agg_rows,
-                        static_cast<double>(plan.agg_out_lo) *
-                            plan.delta,
-                        plan.delta),
-                    plan.slot_lo, cfg.reports_per_node);
-            else
-                tally = GridTally(plan.slot_lo, plan.slot_span,
-                                  cfg.reports_per_node);
-        }
-
-        /** Zero the counts for a new epoch. */
-        void clear(const CohortPlan &plan)
-        {
-            tally.clear();
-            if (plan.mech.ideal)
-                ideal_hist.emplace(plan.hist_lo, plan.hist_hi,
-                                   plan.cfg.histogram_bins);
-        }
-    };
-
-    std::vector<int64_t> noise;  // scalar path, one node's batch
-    std::vector<int64_t> rect;   // batch path, trial-major noise
-    std::vector<BatchSampler::Window> windows =
-        std::vector<BatchSampler::Window>(TausBank::kMaxLanes);
-    std::optional<FxpLaplaceRng> rng;
-    uint32_t rng_cohort = 0;
-    std::optional<BatchSampler> sampler;
-    uint32_t sampler_cohort = 0;
-    /** Per-cohort accumulation shards; cleared per epoch, merged
-     *  post-epoch. */
-    std::vector<std::unique_ptr<CohortSlab>> slabs;
-    /** Per-epoch telemetry deltas, flushed by the main thread after
-     *  the merge (never a shared atomic on the hot path). */
-    uint64_t clones = 0;
-    uint64_t fallbacks = 0;
-};
-
-namespace {
-
-/** One node's output-index sum and extremes over its reports. */
-struct NodeIndices
-{
-    int64_t sum = 0;
-    int64_t lo = std::numeric_limits<int64_t>::max();
-    int64_t hi = std::numeric_limits<int64_t>::min();
-
-    void add(int64_t y)
-    {
-        sum += y;
-        lo = std::min(lo, y);
-        hi = std::max(hi, y);
-    }
-};
-
-/**
  * Per-block counters and per-node terms: fixed size, no heap. One
  * thread writes a block's slab; the fold merges slabs in block-index
  * order, which fixes the rounding of the few floating-point fields
- * (the true-reading Welford, the quantization-residual sums and the
- * Ideal side path). Per-report integer state lives in the worker's
- * CohortSlab instead. The 64-byte alignment keeps the tail fields of
- * adjacent slabs in a vector off each other's cache lines.
+ * (the true-reading Welford and the quantization-residual sums).
+ * Per-report integer state lives in the worker's GridTally instead.
  *
  * Grid cohorts keep, per node n with true reading x_n, clamped input
  * index xi_n, report index sum S_n over its R reports and residual
@@ -618,7 +516,7 @@ struct NodeIndices
  *   resid_noise = sum_n r_n (S_n - R xi_n)
  *   resid_sq    = sum_n r_n^2
  */
-struct alignas(64) BlockAccum
+struct BlockAccum
 {
     uint64_t samples = 0;
     uint64_t overflows = 0;
@@ -638,16 +536,12 @@ struct alignas(64) BlockAccum
     double err_lo = std::numeric_limits<double>::infinity();
     double err_hi = -std::numeric_limits<double>::infinity();
 
-    /** Ideal cohorts: per-report Welford side path. */
-    RunningStats ideal_released;
-    RunningStats ideal_error;
-
-    /** Fold one grid node with true reading @p x, input index
-     *  @p xi and the output indices @p ys of its @p R reports. */
-    void addGridNode(double x, int64_t xi, const NodeIndices &ys,
-                     uint32_t R, double delta)
+    /** Fold one grid node with true reading @p x, input index @p xi
+     *  and output indices summing to @p sum over its @p R reports,
+     *  extremes @p y_lo and @p y_hi. */
+    void addGridNode(double x, int64_t xi, int64_t sum, int64_t y_lo,
+                     int64_t y_hi, uint32_t R, double delta)
     {
-        const int64_t sum = ys.sum;
         const int64_t d = sum - static_cast<int64_t>(R) * xi;
         const double r = static_cast<double>(xi) * delta - x;
         noise += d;
@@ -656,8 +550,8 @@ struct alignas(64) BlockAccum
         resid += r;
         resid_noise += r * static_cast<double>(d);
         resid_sq += r * r;
-        err_lo = std::min(err_lo, static_cast<double>(ys.lo) * delta - x);
-        err_hi = std::max(err_hi, static_cast<double>(ys.hi) * delta - x);
+        err_lo = std::min(err_lo, static_cast<double>(y_lo) * delta - x);
+        err_hi = std::max(err_hi, static_cast<double>(y_hi) * delta - x);
     }
 
     /** Fold another block's slab in (block-index order). */
@@ -678,8 +572,6 @@ struct alignas(64) BlockAccum
         resid_sq += o.resid_sq;
         err_lo = std::min(err_lo, o.err_lo);
         err_hi = std::max(err_hi, o.err_hi);
-        ideal_released.merge(o.ideal_released);
-        ideal_error.merge(o.ideal_error);
     }
 
     /** Count the fresh and replayed reports of @p nodes nodes. */
@@ -692,16 +584,109 @@ struct alignas(64) BlockAccum
     }
 };
 
-/** One claimable unit of work: a block of consecutive nodes. */
-struct WorkItem
+/** The Ideal yardstick's per-block slab: continuous values have no
+ *  output grid, so their moments are Welford and their trial sums
+ *  doubles, both merged in block-index order. */
+struct IdealSlab
 {
-    uint32_t cohort;
-    uint64_t node_lo;
-    uint64_t node_hi;
-    BlockAccum *accum;
-    /** Ideal cohorts: the block's per-trial released-value sums. */
-    double *ideal_trial;
+    RunningStats released;
+    RunningStats error;
+    Histogram hist;
+    std::vector<double> trial;
+
+    explicit IdealSlab(const CohortPlan &plan)
+        : hist(plan.hist_lo, plan.hist_hi, kHistogramBins),
+          trial(plan.cfg.reports_per_node, 0.0)
+    {}
 };
+
+/** One claimable unit of work -- consecutive nodes of one cohort --
+ *  and the slab it alone writes; aligned so adjacent blocks' slabs
+ *  never share a cache line. */
+struct alignas(64) Block
+{
+    uint32_t cohort = 0;
+    uint64_t node_lo = 0;
+    uint64_t node_hi = 0;
+    BlockAccum acc;
+    /** Ideal cohorts only. */
+    std::unique_ptr<IdealSlab> ideal;
+
+    /** Zero the slab for a new epoch. */
+    void clear(const CohortPlan &plan)
+    {
+        acc = BlockAccum{};
+        if (ideal)
+            *ideal = IdealSlab(plan);
+    }
+};
+
+/**
+ * Worker-slot scratch that persists across blocks and epochs: the
+ * steady-state hot loop allocates nothing and clones nothing. The RNG
+ * clone and BatchSampler are rebuilt only on a cohort switch (or
+ * after an integrity fault poisons the clone); a reused clone is
+ * indistinguishable from a fresh one, since streams are reseeded per
+ * node and counters read as per-block deltas. The alignment keeps one
+ * worker's per-block telemetry deltas off its neighbours' lines.
+ */
+struct alignas(64) WorkerScratch
+{
+    std::vector<int64_t> noise;  // scalar path, one node's batch
+    std::vector<int64_t> rect;   // batch path, trial-major noise
+    std::vector<BatchSampler::Window> windows =
+        std::vector<BatchSampler::Window>(TausBank::kMaxLanes);
+    std::optional<FxpLaplaceRng> rng;
+    uint32_t rng_cohort = 0;
+    std::optional<BatchSampler> sampler;
+    uint32_t sampler_cohort = 0;
+    /** Per-cohort exact report tallies (holding the agg sketch when
+     *  agg is on; shapeless for Ideal), heap-owned so no two workers'
+     *  counters share a line. */
+    std::vector<std::unique_ptr<GridTally>> tallies;
+    /** Per-epoch telemetry deltas, flushed by the main thread after
+     *  the merge (never a shared atomic on the hot path). */
+    uint64_t clones = 0;
+    uint64_t fallbacks = 0;
+
+    /** Zero the tallies and deltas for a new epoch, building each
+     *  cohort's tally (sized by its plan) on first use. */
+    void beginEpoch(const std::vector<CohortPlan> &plans)
+    {
+        fallbacks = 0;
+        clones = 0;
+        tallies.resize(plans.size());
+        for (size_t c = 0; c < plans.size(); ++c) {
+            if (tallies[c]) {
+                tallies[c]->clear();
+                continue;
+            }
+            const CohortPlan &plan = plans[c];
+            const uint32_t R = plan.cfg.reports_per_node;
+            if (plan.agg_on)
+                tallies[c] = std::make_unique<GridTally>(
+                    agg::CohortSketch(
+                        plan.cfg.agg, plan.slot_span,
+                        plan.cfg.agg.per_trial ? R : 1,
+                        static_cast<double>(plan.slot_lo) * plan.delta,
+                        plan.delta),
+                    plan.slot_lo, R);
+            else if (plan.mech.ideal)
+                tallies[c] = std::make_unique<GridTally>();
+            else
+                tallies[c] = std::make_unique<GridTally>(
+                    plan.slot_lo, plan.slot_span, R);
+        }
+    }
+};
+
+} // namespace fleet_detail
+
+using namespace fleet_detail;
+
+namespace {
+
+std::atomic<bool> g_force_scalar_blocks{false};
 
 /** Deterministic per-node true reading (clipped Gaussian via
  *  Box-Muller on the node's data substream). */
@@ -716,6 +701,263 @@ synthValue(uint64_t data_seed, double mu, double sigma, double lo,
     double z = std::sqrt(-2.0 * std::log(u1)) *
                std::cos(2.0 * 3.14159265358979323846 * u2);
     return std::clamp(mu + sigma * z, lo, hi);
+}
+
+/** True reading of @p node (stream seed @p seed): values[node] when
+ *  the cohort replays a dataset (@p values non-null), else synthetic. */
+double
+nodeReading(const CohortPlan &plan, const double *values, uint64_t node,
+            uint64_t seed)
+{
+    return values != nullptr
+        ? values[node]
+        : synthValue(FleetSeeder::subSeed(seed, kDataSalt),
+                     plan.data_mean, plan.data_std,
+                     plan.cfg.params.range.lo, plan.cfg.params.range.hi);
+}
+
+/** Digest (and materialize) one released report. */
+inline void
+releaseReport(BlockAccum &acc, double *matrix, uint64_t nodes,
+              uint64_t node, uint32_t t, double released)
+{
+    acc.checksum += reportDigest(node, t, released);
+    if (matrix != nullptr)
+        matrix[static_cast<uint64_t>(t) * nodes + node] = released;
+}
+
+/** One grid block in flight, its outputs and plan scalars resolved
+ *  once per block. Both draw paths -- the 16-lane batch rect and the
+ *  per-draw scalar path -- hand every node to release(). */
+struct GridBlock
+{
+    const CohortPlan &plan;
+    const FleetSeeder &seeder;
+    const Block &block;
+    BlockAccum &acc;
+    GridTally &tally;
+    double *matrix;
+    const double *values =
+        plan.cfg.values.empty() ? nullptr : plan.cfg.values.data();
+    const uint32_t R = plan.cfg.reports_per_node;
+    const uint32_t fresh = plan.fresh_per_node;
+    const double delta = plan.delta;
+    const double range_lo = plan.cfg.params.range.lo;
+    const double range_hi = plan.cfg.params.range.hi;
+
+    /** Input grid index of reading @p x, clamped to the range (the
+     *  clamp comes first, so a huge reading cannot overflow). */
+    int64_t inputIndex(double x) const
+    {
+        return static_cast<int64_t>(
+            std::llround(std::clamp(x, range_lo, range_hi) / delta));
+    }
+
+    /**
+     * Release every report of node @p node (reading @p x, input index
+     * @p xi): report t < fresh is @p draw(t); past the budget the node
+     * replays its last fresh report, or the midpoint slot if it has
+     * none. A kMidpoint cohort (fresh == 0, scalar path only) releases
+     * the off-grid range midpoint itself; the fold derives its moments
+     * from the true readings.
+     */
+    template <bool kMidpoint, typename Draw>
+    void release(uint64_t node, double x, int64_t xi, Draw &&draw)
+    {
+        acc.true_vals.add(x);
+        int64_t yi = plan.mid_slot;
+        int64_t sum = 0;
+        int64_t y_lo = std::numeric_limits<int64_t>::max();
+        int64_t y_hi = std::numeric_limits<int64_t>::min();
+        for (uint32_t t = 0; t < R; ++t) {
+            if (t < fresh)
+                yi = draw(t);
+            tally.add(t, yi);
+            sum += yi;
+            y_lo = std::min(y_lo, yi);
+            y_hi = std::max(y_hi, yi);
+            releaseReport(acc, matrix, plan.nodes, node, t,
+                          kMidpoint ? plan.mid_value
+                                    : static_cast<double>(yi) * delta);
+        }
+        acc.addGridNode(x, xi, sum, y_lo, y_hi, R, delta);
+    }
+};
+
+/**
+ * Batch path: fill the 16-lane bank with consecutive nodes and draw
+ * every fresh report of the group in one rect. Lane l is bit-identical
+ * to node lo + l's scalar stream. Returns false (leaving partial slab
+ * and tally deltas) when a comparator tripped or a window holds no
+ * URNG state.
+ */
+bool
+batchBlock(GridBlock &g, WorkerScratch &ws)
+{
+    constexpr size_t W = TausBank::kMaxLanes;
+    const CohortPlan &plan = g.plan;
+    // Cohort-cached sampler: the only holder of the table's
+    // shared_ptr, so no block claim touches its refcount line.
+    if (!ws.sampler || ws.sampler_cohort != g.block.cohort) {
+        ws.sampler.emplace(plan.table, plan.proto.config().uniform_bits,
+                           plan.proto.quantizer().maxIndex(),
+                           plan.proto.config().integrity_checks);
+        ws.sampler_cohort = g.block.cohort;
+    }
+    BatchSampler &bs = *ws.sampler;
+    // Registry-lowered execution shape: the loop never sees the
+    // mechanism's name, only these two booleans.
+    const bool truncated = plan.mech.truncated;
+    const bool clamp = plan.mech.clamp;
+    const int64_t win_lo = plan.win_lo;
+    const int64_t win_hi = plan.win_hi;
+    BatchSampler::Window *windows = ws.windows.data();
+    ws.rect.resize(W * static_cast<size_t>(g.fresh));
+    const int64_t *rect = ws.rect.data();
+    uint64_t seeds[W];
+    double xs[W];
+    int64_t xis[W];
+    for (uint64_t lo = g.block.node_lo; lo < g.block.node_hi; lo += W) {
+        const size_t lanes = static_cast<size_t>(
+            std::min<uint64_t>(W, g.block.node_hi - lo));
+        for (size_t l = 0; l < lanes; ++l) {
+            seeds[l] = g.seeder.nodeSeed(plan.index, lo + l);
+            xs[l] = nodeReading(plan, g.values, lo + l, seeds[l]);
+            xis[l] = g.inputIndex(xs[l]);
+            if (truncated)
+                windows[l] = {win_lo - xis[l], win_hi - xis[l]};
+        }
+        bs.seedLanes(seeds, lanes);
+        const bool ok = truncated
+            ? bs.sampleTruncatedRect(windows, ws.rect.data(), g.fresh)
+            : bs.sampleRect(ws.rect.data(), g.fresh);
+        if (!ok)
+            return false;
+        for (size_t l = 0; l < lanes; ++l) {
+            const int64_t xi = xis[l];
+            g.release<false>(lo + l, xs[l], xi, [&](uint32_t t) {
+                const int64_t y =
+                    xi + rect[static_cast<size_t>(t) * lanes + l];
+                return clamp ? std::clamp(y, win_lo, win_hi) : y;
+            });
+        }
+        g.acc.samples += lanes * g.fresh;
+        g.acc.addReports(lanes, g.fresh, g.R);
+    }
+    return true;
+}
+
+/** Scalar path: fresh == 0 cohorts, tableless configurations and
+ *  batch-fallback redos, one per-draw node at a time. */
+void
+scalarBlock(GridBlock &g, WorkerScratch &ws)
+{
+    const CohortPlan &plan = g.plan;
+    std::optional<FxpLaplaceRng> &rng = ws.rng;
+    if (!rng || ws.rng_cohort != g.block.cohort ||
+        rng->integrityFault()) {
+        rng.emplace(plan.proto);
+        ws.rng_cohort = g.block.cohort;
+        ++ws.clones;
+    }
+    const bool batched = plan.mech.naive || plan.mech.clamp;
+    std::vector<int64_t> &noise = ws.noise;
+    noise.resize(batched ? g.fresh : 0);
+    const uint64_t drawn_before = rng->samplesDrawn();
+    const uint64_t integ_before = rng->integrityDetections();
+
+    for (uint64_t node = g.block.node_lo; node < g.block.node_hi;
+         ++node) {
+        const uint64_t seed = g.seeder.nodeSeed(plan.index, node);
+        const double x = nodeReading(plan, g.values, node, seed);
+        const int64_t xi = g.inputIndex(x);
+        rng->urng() = Tausworthe(seed);
+        if (batched && g.fresh > 0)
+            rng->sampleBatch(noise.data(), g.fresh);
+        auto draw = [&](uint32_t t) {
+            if (batched) {
+                const int64_t y = xi + noise[t];
+                return plan.mech.clamp
+                    ? std::clamp(y, plan.win_lo, plan.win_hi)
+                    : y;
+            }
+            // Per-request samples out-param; the block total comes
+            // from samplesDrawn() below.
+            uint64_t scratch = 0;
+            return drawConfinedOutput(
+                *rng, RangeControl::Resampling, xi, plan.win_lo,
+                plan.win_hi, uint64_t{1} << 20, scratch,
+                g.acc.overflows, "FleetRunner");
+        };
+        if (g.fresh == 0)
+            g.release<true>(node, x, xi, draw);
+        else
+            g.release<false>(node, x, xi, draw);
+    }
+    g.acc.addReports(g.block.node_hi - g.block.node_lo, g.fresh, g.R);
+    g.acc.samples += rng->samplesDrawn() - drawn_before;
+    g.acc.integrity += rng->integrityDetections() - integ_before;
+}
+
+/** One grid block (every mechanism but Ideal), start to finish, into
+ *  its private slab and the worker's tally. */
+void
+gridBlock(const CohortPlan &plan, const FleetSeeder &seeder, Block &block,
+          WorkerScratch &ws, double *matrix)
+{
+    GridTally &tally = *ws.tallies[block.cohort];
+    GridBlock g{plan, seeder, block, block.acc, tally, matrix};
+    tally.beginBlock();
+    if (plan.batch_ok &&
+        !g_force_scalar_blocks.load(std::memory_order_relaxed)) {
+        if (batchBlock(g, ws)) {
+            tally.endBlock();
+            return;
+        }
+        // Discard the block's slab and tally deltas and redo it
+        // scalar: every node restarts from its seed, so the redo is
+        // bit-identical, with the exact per-draw integrity semantics.
+        block.acc = BlockAccum{};
+        tally.beginBlock();
+        ++ws.fallbacks;
+    }
+    scalarBlock(g, ws);
+    tally.endBlock();
+}
+
+/** One Ideal-yardstick block: continuous double-precision Laplace on
+ *  the true reading, into the block's own slabs. */
+void
+idealBlock(const CohortPlan &plan, const FleetSeeder &seeder, Block &block,
+           double *matrix)
+{
+    BlockAccum &acc = block.acc;
+    IdealSlab &slab = *block.ideal;
+    const double *values =
+        plan.cfg.values.empty() ? nullptr : plan.cfg.values.data();
+    const uint32_t R = plan.cfg.reports_per_node;
+    const uint32_t fresh = plan.fresh_per_node;
+    for (uint64_t node = block.node_lo; node < block.node_hi; ++node) {
+        const uint64_t seed = seeder.nodeSeed(plan.index, node);
+        const double x = nodeReading(plan, values, node, seed);
+        acc.true_vals.add(x);
+        IdealLaplace ideal(plan.lambda, seed);
+        // Budget exhausted: replay the cached report, or the range
+        // midpoint when nothing was ever released.
+        double released = plan.mid_value;
+        for (uint32_t t = 0; t < R; ++t) {
+            if (t < fresh)
+                released = x + ideal.sample();
+            slab.hist.add(released);
+            slab.released.add(released);
+            slab.error.add(released - x);
+            slab.trial[t] += released;
+            releaseReport(acc, matrix, plan.nodes, node, t, released);
+        }
+    }
+    const uint64_t nodes = block.node_hi - block.node_lo;
+    acc.samples += nodes * fresh;
+    acc.addReports(nodes, fresh, R);
 }
 
 /**
@@ -803,6 +1045,51 @@ foldMidpoint(CohortResult &res, uint32_t R, double mid)
         mid - x.max(), mid - x.min());
 }
 
+/**
+ * Moments, histogram and trial estimates of an Ideal cohort: its
+ * blocks' slabs merged in block-index order, which fixes the rounding
+ * of the Welford moments and the per-trial sums. Expects nodes set.
+ */
+void
+foldIdeal(CohortResult &res, std::span<const Block> blocks, uint32_t R)
+{
+    res.trial_estimate.assign(R, 0.0);
+    for (const Block &b : blocks) {
+        const IdealSlab &s = *b.ideal;
+        res.released_stats.merge(s.released);
+        res.error_stats.merge(s.error);
+        res.released_hist.merge(s.hist);
+        for (uint32_t t = 0; t < R; ++t)
+            res.trial_estimate[t] += s.trial[t];
+    }
+    for (double &e : res.trial_estimate)
+        e /= static_cast<double>(res.nodes);
+}
+
+/**
+ * Heavy-hitter scan and the unbiased channel-inversion decode of a
+ * cohort's merged sketch. Main thread, post-parallel-section: the
+ * decode never sits on the ingest hot path.
+ */
+std::shared_ptr<CohortAggResult>
+foldAgg(const CohortPlan &plan, const GridTally &tally)
+{
+    auto ar = std::make_shared<CohortAggResult>();
+    ar->sketch = tally.sketch();
+    if (plan.cfg.agg.heavy_hitters > 0)
+        ar->heavy = agg::topK(ar->sketch.cm(), ar->sketch.span(),
+                              plan.cfg.agg.heavy_hitters);
+    ar->decoder = plan.decoder;
+    ar->input_value0 = static_cast<double>(plan.lo_index) * plan.delta;
+    ar->delta = plan.delta;
+    auto d0 = std::chrono::steady_clock::now();
+    ar->decoded = plan.decoder->decode(ar->sketch.slotTotals(),
+                                       ar->input_value0, plan.delta);
+    ar->decode_seconds = std::chrono::duration<double>(
+        std::chrono::steady_clock::now() - d0).count();
+    return ar;
+}
+
 } // anonymous namespace
 
 std::vector<double>
@@ -879,16 +1166,24 @@ FleetRunner::FleetRunner(FleetConfig config)
     if (config_.block_nodes == 0)
         fatal("FleetRunner: block_nodes must be positive");
     plans_.reserve(config_.cohorts.size());
-    for (size_t i = 0; i < config_.cohorts.size(); ++i)
-        plans_.emplace_back(config_.cohorts[i],
-                            static_cast<uint32_t>(i));
+    for (size_t c = 0; c < config_.cohorts.size(); ++c) {
+        CohortPlan &plan = plans_.emplace_back(
+            config_.cohorts[c], static_cast<uint32_t>(c));
+        // The cohort's blocks and their slabs, reused by every epoch.
+        plan.first_block = blocks_.size();
+        for (uint64_t lo = 0; lo < plan.nodes; lo += config_.block_nodes) {
+            Block &block = blocks_.emplace_back();
+            block.cohort = plan.index;
+            block.node_lo = lo;
+            block.node_hi = std::min(plan.nodes, lo + config_.block_nodes);
+            if (plan.mech.ideal)
+                block.ideal = std::make_unique<IdealSlab>(plan);
+        }
+        plan.num_blocks = blocks_.size() - plan.first_block;
+    }
 }
 
 FleetRunner::~FleetRunner() = default;
-
-namespace {
-std::atomic<bool> g_force_scalar_blocks{false};
-} // anonymous namespace
 
 void
 FleetRunner::forceScalarBlocks(bool on)
@@ -901,336 +1196,72 @@ FleetRunner::run(unsigned num_threads)
 {
     if (num_threads == 0)
         num_threads = static_cast<unsigned>(hardwareJobs());
+    const unsigned spawn = static_cast<unsigned>(std::max<size_t>(
+        1, std::min<size_t>(num_threads, blocks_.size())));
 
-    // Per-cohort block slabs, pre-sized so workers never allocate
-    // shared state; materialized matrices and Ideal per-block trial
-    // sums likewise (each block writes disjoint cells).
-    std::vector<std::vector<BlockAccum>> accums(plans_.size());
-    std::vector<std::vector<double>> matrices(plans_.size());
-    std::vector<std::vector<double>> ideal_trials(plans_.size());
-    std::vector<WorkItem> items;
-    for (size_t c = 0; c < plans_.size(); ++c) {
-        CohortPlan &plan = plans_[c];
-        const uint32_t R = plan.cfg.reports_per_node;
-        uint64_t nblocks = plan.numBlocks(config_.block_nodes);
-        accums[c].resize(nblocks);
-        if (plan.cfg.materialize)
-            matrices[c].assign(plan.nodes * R, 0.0);
-        if (plan.mech.ideal)
-            ideal_trials[c].assign(nblocks * R, 0.0);
-        for (uint64_t b = 0; b < nblocks; ++b) {
-            uint64_t lo = b * config_.block_nodes;
-            uint64_t hi = std::min(plan.nodes,
-                                   lo + config_.block_nodes);
-            double *trial = plan.mech.ideal
-                ? ideal_trials[c].data() + b * R
-                : nullptr;
-            items.push_back(WorkItem{static_cast<uint32_t>(c), lo, hi,
-                                     &accums[c][b], trial});
-        }
-    }
-
-    // One block, start to finish, into its private slab. Which worker
-    // runs it (and when) is irrelevant to the result -- everything
-    // below depends only on (master seed, cohort, node id) and the
-    // static block -> slab mapping.
-    auto processBlock = [&](const WorkItem &item, WorkerScratch &ws) {
-        constexpr size_t W = TausBank::kMaxLanes;
-        const CohortPlan &plan = plans_[item.cohort];
-        const CohortConfig &cfg = plan.cfg;
-        BlockAccum &acc = *item.accum;
-        WorkerScratch::CohortSlab &slab = *ws.slabs[item.cohort];
-        double *matrix = cfg.materialize
-            ? matrices[item.cohort].data()
-            : nullptr;
-
-        const uint32_t R = cfg.reports_per_node;
-        const uint32_t fresh = plan.fresh_per_node;
-
-        auto trueValue = [&](uint64_t node, uint64_t seed) {
-            return cfg.values.empty()
-                ? synthValue(FleetSeeder::subSeed(seed, kDataSalt),
-                             plan.data_mean, plan.data_std,
-                             cfg.params.range.lo, cfg.params.range.hi)
-                : cfg.values[node];
-        };
-        // Digest (and materialize) one released report.
-        auto release = [&](uint64_t node, uint32_t t, double released) {
-            acc.checksum += reportDigest(node, t, released);
-            if (matrix != nullptr)
-                matrix[static_cast<uint64_t>(t) * plan.nodes + node] =
-                    released;
-        };
-        auto inputIndex = [&](double x) {
-            int64_t xi = static_cast<int64_t>(std::llround(x / plan.delta));
-            return std::clamp(xi, plan.lo_index, plan.hi_index);
-        };
-
-        // -- Ideal yardstick: continuous values, no output grid. A
-        // per-report Welford side path, merged in block order, plus
-        // the worker's (integer, order-free) histogram.
-        if (plan.mech.ideal) {
-            Histogram &hist = *slab.ideal_hist;
-            for (uint64_t node = item.node_lo; node < item.node_hi;
-                 ++node) {
-                uint64_t seed = seeder_.nodeSeed(plan.index, node);
-                double x = trueValue(node, seed);
-                acc.true_vals.add(x);
-                IdealLaplace ideal(plan.lambda, seed);
-                // Budget exhausted: replay the cached report, or the
-                // range midpoint when nothing was ever released.
-                double released = plan.mid_value;
-                for (uint32_t t = 0; t < R; ++t) {
-                    if (t < fresh)
-                        released = x + ideal.sample();
-                    hist.add(released);
-                    acc.ideal_released.add(released);
-                    acc.ideal_error.add(released - x);
-                    item.ideal_trial[t] += released;
-                    release(node, t, released);
-                }
-            }
-            const uint64_t nodes = item.node_hi - item.node_lo;
-            acc.samples += nodes * fresh;
-            acc.addReports(nodes, fresh, R);
-            return;
-        }
-
-        // -- Exact integer accumulation: one slot bump and one
-        // per-trial index sum per report (GridTally; with agg on the
-        // slot bump is the agg sketch's own delta), everything else
-        // per node. The block reaches the worker's totals only at
-        // endBlock().
-        GridTally &tally = slab.tally;
-        tally.beginBlock();
-        // Registry-lowered execution shape: the loop never sees the
-        // mechanism's name, only these two booleans.
-        const bool truncated = plan.mech.truncated;
-        const bool clamp = plan.mech.clamp;
-
-        // -- Batch path: fill the 16-lane bank with consecutive nodes
-        // and draw every fresh report of the group in one rect. Lane
-        // l is bit-identical to the scalar stream of node lo + l, so
-        // the accumulation below produces the exact scalar numbers.
-        if (plan.batch_ok &&
-            !g_force_scalar_blocks.load(std::memory_order_relaxed)) {
-            // Cohort-cached sampler: constructing one per block copied
-            // the table's shared_ptr, and the refcount RMW on that
-            // shared control-block line was cross-core traffic on
-            // every block claim. The cached instance keeps a stable
-            // reference; the hot loop below only ever reads the table
-            // through a plain pointer.
-            if (!ws.sampler || ws.sampler_cohort != item.cohort) {
-                ws.sampler.emplace(plan.table,
-                                   plan.proto.config().uniform_bits,
-                                   plan.proto.quantizer().maxIndex(),
-                                   plan.proto.config().integrity_checks);
-                ws.sampler_cohort = item.cohort;
-            }
-            BatchSampler &bs = *ws.sampler;
-            std::vector<BatchSampler::Window> &windows = ws.windows;
-            std::vector<int64_t> &rect = ws.rect;
-            rect.resize(W * static_cast<size_t>(fresh));
-            uint64_t seeds[W];
-            double xs[W];
-            int64_t xis[W];
-            bool ok = true;
-            for (uint64_t lo = item.node_lo; lo < item.node_hi;
-                 lo += W) {
-                size_t lanes = static_cast<size_t>(
-                    std::min<uint64_t>(W, item.node_hi - lo));
-                for (size_t l = 0; l < lanes; ++l) {
-                    seeds[l] = seeder_.nodeSeed(plan.index, lo + l);
-                    xs[l] = trueValue(lo + l, seeds[l]);
-                    xis[l] = inputIndex(xs[l]);
-                    if (truncated)
-                        windows[l] = {plan.win_lo - xis[l],
-                                      plan.win_hi - xis[l]};
-                }
-                bs.seedLanes(seeds, lanes);
-                ok = truncated
-                    ? bs.sampleTruncatedRect(windows.data(),
-                                             rect.data(), fresh)
-                    : bs.sampleRect(rect.data(), fresh);
-                if (!ok)
-                    break;
-                for (size_t l = 0; l < lanes; ++l) {
-                    const uint64_t node = lo + l;
-                    const int64_t xi = xis[l];
-                    acc.true_vals.add(xs[l]);
-                    int64_t yi = 0;
-                    NodeIndices ys;
-                    for (uint32_t t = 0; t < R; ++t) {
-                        // Past the budget the node replays its last
-                        // fresh report (fresh >= 1 on this path).
-                        if (t < fresh) {
-                            yi = xi + rect[static_cast<size_t>(t) *
-                                               lanes + l];
-                            if (clamp)
-                                yi = std::clamp(yi, plan.win_lo,
-                                                plan.win_hi);
-                        }
-                        tally.add(t, yi);
-                        ys.add(yi);
-                        release(node, t,
-                                static_cast<double>(yi) * plan.delta);
-                    }
-                    acc.addGridNode(xs[l], xi, ys, R, plan.delta);
-                }
-                acc.samples += lanes * fresh;
-                acc.addReports(lanes, fresh, R);
-            }
-            if (ok) {
-                tally.endBlock();
-                return;
-            }
-            // A comparator tripped, or a window holds no URNG state:
-            // discard the whole block -- its slab and the worker's
-            // block deltas -- and redo it scalar. Every node restarts
-            // from its seed, so the redo is bit-identical to never
-            // having batched, and the scalar integrity path
-            // quarantines (or clamps) with the exact per-draw
-            // semantics.
-            acc = BlockAccum{};
-            tally.beginBlock();
-            ++ws.fallbacks;
-        }
-
-        // -- Scalar path: fresh == 0 cohorts, tableless
-        // configurations, and batch-fallback redos.
-        std::optional<FxpLaplaceRng> &rng = ws.rng;
-        if (!rng || ws.rng_cohort != item.cohort ||
-            rng->integrityFault()) {
-            rng.emplace(plan.proto);
-            ws.rng_cohort = item.cohort;
-            ++ws.clones;
-        }
-        const bool batched = plan.mech.naive || clamp;
-        // A node that never releases a fresh report replays the range
-        // midpoint, which is off the grid: the fold derives such a
-        // cohort's moments from the true readings, and the agg
-        // stream sees the midpoint's nearest slot.
-        const bool midpoint = fresh == 0;
-        std::vector<int64_t> &noise = ws.noise;
-        noise.resize(batched ? fresh : 0);
-        const uint64_t drawn_before = rng->samplesDrawn();
-        const uint64_t integ_before = rng->integrityDetections();
-
-        for (uint64_t node = item.node_lo; node < item.node_hi; ++node) {
-            uint64_t seed = seeder_.nodeSeed(plan.index, node);
-            double x = trueValue(node, seed);
-            acc.true_vals.add(x);
-            const int64_t xi = inputIndex(x);
-            rng->urng() = Tausworthe(seed);
-            if (batched && fresh > 0)
-                rng->sampleBatch(noise.data(), fresh);
-
-            int64_t yi = plan.mid_slot;
-            NodeIndices ys;
-            for (uint32_t t = 0; t < R; ++t) {
-                if (t < fresh) {
-                    if (batched) {
-                        yi = xi + noise[t];
-                        if (clamp)
-                            yi = std::clamp(yi, plan.win_lo,
-                                            plan.win_hi);
-                    } else {
-                        // drawConfinedOutput's samples out-param is
-                        // per-request (it assigns); the block total
-                        // comes from samplesDrawn() below.
-                        uint64_t scratch = 0;
-                        yi = drawConfinedOutput(
-                            *rng, RangeControl::Resampling, xi,
-                            plan.win_lo, plan.win_hi,
-                            uint64_t{1} << 20, scratch,
-                            acc.overflows, "FleetRunner");
-                    }
-                }
-                tally.add(t, yi);
-                ys.add(yi);
-                release(node, t,
-                        midpoint ? plan.mid_value
-                                 : static_cast<double>(yi) * plan.delta);
-            }
-            acc.addGridNode(x, xi, ys, R, plan.delta);
-        }
-        acc.addReports(item.node_hi - item.node_lo, fresh, R);
-        acc.samples += rng->samplesDrawn() - drawn_before;
-        acc.integrity += rng->integrityDetections() - integ_before;
-        tally.endBlock();
-    };
-
-    unsigned spawn = static_cast<unsigned>(
-        std::min<size_t>(num_threads, items.size()));
-    if (spawn == 0)
-        spawn = 1;
-
-    // Everything below this comment and above the t0 stamp is epoch
-    // setup that must never be timed: growing the shared parked pool
-    // to the requested width (first wide call only), growing the
-    // per-worker scratch slots, and materializing the type-erased
-    // body the pool schedules.
+    // Untimed prologue: grow the parked pool (first wide call only)
+    // and the scratch slots, zero every tally and block slab, size the
+    // matrices (each block writes disjoint cells) and build the body
+    // the pool schedules. Only the first `spawn` scratch slots are
+    // merged, so a wider earlier epoch's slots cannot leak counts.
     WorkerPool &pool = WorkerPool::instance();
     if (spawn > 1)
         pool.reserve(spawn - 1);
     while (scratch_.size() < spawn)
         scratch_.push_back(std::make_unique<WorkerScratch>());
-    for (unsigned w = 0; w < spawn; ++w) {
-        WorkerScratch &ws = *scratch_[w];
-        ws.fallbacks = 0;
-        ws.clones = 0;
-        // Accumulation shards: allocate once per (worker, cohort) --
-        // sized by the plan, so epoch reuse only zeroes counters --
-        // and always reset before the timer starts. Only the first
-        // `spawn` scratch slots are merged below, so slots left over
-        // from a wider earlier epoch cannot leak stale counts.
-        if (ws.slabs.size() < plans_.size())
-            ws.slabs.resize(plans_.size());
-        for (size_t c = 0; c < plans_.size(); ++c) {
-            auto &slab = ws.slabs[c];
-            if (!slab)
-                slab = std::make_unique<WorkerScratch::CohortSlab>(
-                    plans_[c]);
-            slab->clear(plans_[c]);
-        }
-    }
+    for (unsigned w = 0; w < spawn; ++w)
+        scratch_[w]->beginEpoch(plans_);
+    for (Block &block : blocks_)
+        block.clear(plans_[block.cohort]);
+    std::vector<std::vector<double>> matrices(plans_.size());
+    for (const CohortPlan &plan : plans_)
+        if (plan.cfg.materialize)
+            matrices[plan.index].assign(
+                plan.nodes * plan.cfg.reports_per_node, 0.0);
     // Blocks map to slabs by block index, so which worker runs a
     // block (and whether it was stolen) never reaches the result.
-    std::function<void(uint64_t, unsigned)> block_fn =
-        [&](uint64_t i, unsigned w) { processBlock(items[i], *scratch_[w]); };
+    std::function<void(uint64_t, unsigned)> body =
+        [&](uint64_t i, unsigned w) {
+            Block &block = blocks_[i];
+            const CohortPlan &plan = plans_[block.cohort];
+            std::vector<double> &m = matrices[block.cohort];
+            double *matrix = m.empty() ? nullptr : m.data();
+            if (plan.mech.ideal)
+                idealBlock(plan, seeder_, block, matrix);
+            else
+                gridBlock(plan, seeder_, block, *scratch_[w], matrix);
+        };
 
     auto t0 = std::chrono::steady_clock::now();
-    pool.forEach(items.size(), spawn, block_fn);
+    pool.forEach(blocks_.size(), spawn, body);
     auto t1 = std::chrono::steady_clock::now();
 
-    // Per-worker telemetry deltas, summed post-epoch on the main
-    // thread (forEach orders the reads after every worker's writes).
-    uint64_t batch_fallbacks = 0;
-    uint64_t rng_clones = 0;
-    for (unsigned w = 0; w < spawn; ++w) {
-        batch_fallbacks += scratch_[w]->fallbacks;
-        rng_clones += scratch_[w]->clones;
-    }
+    return fold(spawn, std::chrono::duration<double>(t1 - t0).count(),
+                matrices);
+}
 
-    // Fold each cohort: block slabs in block-index order (which fixes
-    // the rounding of their few floating-point terms), worker shards
-    // in any order (all integers), then the released and error
-    // moments from the exact sums.
+FleetReport
+FleetRunner::fold(unsigned spawn, double seconds,
+                  std::vector<std::vector<double>> &matrices)
+{
     FleetReport report;
     report.threads = spawn;
-    report.seconds =
-        std::chrono::duration<double>(t1 - t0).count();
-    for (size_t c = 0; c < plans_.size(); ++c) {
-        const CohortPlan &plan = plans_[c];
+    report.seconds = seconds;
+    for (const CohortPlan &plan : plans_) {
         const uint32_t R = plan.cfg.reports_per_node;
-        CohortResult res(Histogram(plan.hist_lo, plan.hist_hi,
-                                   plan.cfg.histogram_bins));
+        const std::span<const Block> blocks(
+            blocks_.data() + plan.first_block, plan.num_blocks);
+        CohortResult res(
+            Histogram(plan.hist_lo, plan.hist_hi, kHistogramBins));
         res.name = plan.cfg.name;
         res.mechanism = plan.cfg.mechanism_name;
         res.nodes = plan.nodes;
+
+        // Block slabs in block-index order, which fixes the rounding
+        // of their few floating-point terms.
         BlockAccum tot;
-        for (const BlockAccum &acc : accums[c])
-            tot.merge(acc);
+        for (const Block &b : blocks)
+            tot.merge(b.acc);
         res.samples_drawn = tot.samples;
         res.resample_overflows = tot.overflows;
         res.fresh_reports = tot.fresh;
@@ -1243,85 +1274,44 @@ FleetRunner::run(unsigned num_threads)
 
         // Worker shards: all integer counts, merged in worker-index
         // order by repo convention (any order gives the same bits).
-        GridTally tally;
-        for (unsigned w = 0; w < spawn; ++w) {
-            const WorkerScratch::CohortSlab &slab =
-                *scratch_[w]->slabs[c];
-            if (w == 0)
-                tally = slab.tally;
-            else
-                tally.merge(slab.tally);
-            if (slab.ideal_hist)
-                res.released_hist.merge(*slab.ideal_hist);
-        }
+        GridTally tally = *scratch_[0]->tallies[plan.index];
+        for (unsigned w = 1; w < spawn; ++w)
+            tally.merge(*scratch_[w]->tallies[plan.index]);
         if (tally.dropped() != 0)
             fatal("FleetRunner: cohort '%s': %llu reports fell outside "
-                  "the output window [%lld, %lld]",
-                  plan.cfg.name.c_str(),
+                  "the output window [%lld, %lld]", res.name.c_str(),
                   static_cast<unsigned long long>(tally.dropped()),
                   static_cast<long long>(plan.slot_lo),
                   static_cast<long long>(plan.slot_lo +
                                          plan.slot_span - 1));
 
-        if (plan.mech.ideal) {
-            res.released_stats = tot.ideal_released;
-            res.error_stats = tot.ideal_error;
-            res.trial_estimate.assign(R, 0.0);
-            for (size_t b = 0; b < accums[c].size(); ++b)
-                for (uint32_t t = 0; t < R; ++t)
-                    res.trial_estimate[t] += ideal_trials[c][b * R + t];
-            for (double &e : res.trial_estimate)
-                e /= static_cast<double>(plan.nodes);
-        } else if (plan.fresh_per_node == 0) {
+        // The released and error moments: Ideal from its own slabs,
+        // grid cohorts from the exact sums.
+        if (plan.mech.ideal)
+            foldIdeal(res, blocks, R);
+        else if (plan.fresh_per_node == 0)
             foldMidpoint(res, R, plan.mid_value);
-        } else {
+        else
             foldGrid(res, tally, tot, R, plan.delta);
-        }
 
         RunningStats abs_err;
         for (double e : res.trial_estimate)
             abs_err.add(std::abs(e - res.trueMean()));
         res.mean_mae = abs_err.mean();
         res.mean_mae_std = abs_err.stddev();
-
         res.worst_loss = plan.worst_loss;
         res.ldp = plan.ldp;
-        res.matrix = std::move(matrices[c]);
+        res.matrix = std::move(matrices[plan.index]);
         report.total_reports += res.reports;
-
-        // Heavy-hitter scan and the unbiased channel-inversion
-        // decode. Main thread, post-parallel-section: the decode
-        // never sits on the ingest hot path.
-        if (plan.agg_on) {
-            auto ar = std::make_shared<CohortAggResult>();
-            ar->sketch = tally.sketch();
-            if (plan.cfg.agg.heavy_hitters > 0) {
-                ar->heavy = agg::topK(ar->sketch.cm(),
-                                      ar->sketch.span(),
-                                      plan.cfg.agg.heavy_hitters);
-            }
-            ar->decoder = plan.decoder;
-            ar->input_value0 =
-                static_cast<double>(plan.lo_index) * plan.delta;
-            ar->delta = plan.delta;
-            auto d0 = std::chrono::steady_clock::now();
-            ar->decoded = plan.decoder->decode(
-                ar->sketch.slotTotals(), ar->input_value0,
-                plan.delta);
-            ar->decode_seconds = std::chrono::duration<double>(
-                std::chrono::steady_clock::now() - d0).count();
-            res.agg = std::move(ar);
-        }
+        if (plan.agg_on)
+            res.agg = foldAgg(plan, tally);
         if (telemetry::enabled())
             publishCohort(res);
 
-        // Durable epoch accounting: journal the cohort's worst-case
-        // loss (fresh reports x the flat metering bound -- never an
-        // undercharge) and seal the epoch with a checkpoint. Main
-        // thread, post-merge: the FleetReport and its fingerprint are
-        // already final, so a ledger cannot move a bit of them.
-        if (config_.epoch_ledger != nullptr &&
-            res.fresh_reports > 0) {
+        // Journal the cohort's worst-case loss (fresh reports x the
+        // flat metering bound: never an undercharge). The report is
+        // already final, so a ledger cannot move a bit of it.
+        if (config_.epoch_ledger != nullptr && res.fresh_reports > 0) {
             double charged = static_cast<double>(res.fresh_reports) *
                              plan.per_report_charge;
             if (!config_.epoch_ledger->journalSpend(charged))
@@ -1330,25 +1320,21 @@ FleetRunner::run(unsigned num_threads)
         }
         report.cohorts.push_back(std::move(res));
     }
+    // Seal the epoch with a checkpoint.
     if (config_.epoch_ledger != nullptr)
         config_.epoch_ledger->commitCheckpoint(
             config_.epoch_ledger->remaining(),
             config_.epoch_ledger->cache());
     if (telemetry::enabled()) {
-        FleetMetrics &m = fleetMetrics();
-        m.runs.inc();
-        m.threads.set(static_cast<double>(report.threads));
-        m.throughput.set(report.reportsPerSecond());
-        m.seconds.observe(report.seconds);
-        // Batch-layer observability. None of these feed the
-        // FleetReport or its fingerprint: the determinism contract is
-        // about the merged result, not about which path produced it.
-        m.batch_lanes.set(
-            static_cast<double>(TausBank::kMaxLanes));
-        m.batch_prefetch.set(
-            static_cast<double>(TausBank::kMaxLanes));
-        m.batch_fallbacks.inc(batch_fallbacks);
-        m.rng_clones.inc(rng_clones);
+        // Per-worker telemetry deltas (forEach orders these reads
+        // after every worker's writes).
+        uint64_t fallbacks = 0;
+        uint64_t clones = 0;
+        for (unsigned w = 0; w < spawn; ++w) {
+            fallbacks += scratch_[w]->fallbacks;
+            clones += scratch_[w]->clones;
+        }
+        publishFleet(report, fallbacks, clones);
     }
     return report;
 }

@@ -51,6 +51,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -95,10 +96,6 @@ struct CohortConfig
      *  controlled mechanisms; must exceed 1). */
     double loss_multiple = 2.0;
 
-    /** Explicit window extension in Delta units; >= 0 overrides the
-     *  exact search (use for sweeps of mis-provisioned windows). */
-    int64_t threshold_index = -1;
-
     /** Node count (ignored when @ref values is non-empty). */
     uint64_t nodes = 0;
 
@@ -108,18 +105,13 @@ struct CohortConfig
 
     /**
      * Explicit per-node true readings (dataset replay: node i holds
-     * values[i]). Empty selects synthetic clipped-Gaussian data.
+     * values[i]; finite, clamped to the sensor range). Empty selects
+     * synthetic clipped-Gaussian data with std range length / 6.
      */
     std::vector<double> values;
 
-    /** Synthetic data mean; NaN/unset centers on the sensor range. */
-    double data_mean = 0.0;
-
-    /** Synthetic data std; <= 0 selects range length / 6. */
-    double data_std = 0.0;
-
-    /** Set when data_mean was explicitly chosen. */
-    bool data_mean_set = false;
+    /** Synthetic data mean; unset centers on the sensor range. */
+    std::optional<double> data_mean;
 
     /**
      * Per-node privacy budget for one epoch; 0 disables metering.
@@ -129,12 +121,10 @@ struct CohortConfig
      * report count is a pure function of the budget: the halt check
      * never consumes randomness, matching the check-before-sample
      * ordering of BudgetController. Exhausted nodes replay their
-     * cached previous report (zero additional loss).
+     * cached previous report (zero additional loss). A negative or
+     * non-finite budget is fatal (it must never run unmetered).
      */
     double budget_per_node = 0.0;
-
-    /** Bins of the released-value histogram. */
-    size_t histogram_bins = 64;
 
     /**
      * Materialize the full report matrix (reports_per_node x nodes,
@@ -254,7 +244,7 @@ struct CohortResult
     /** Reports released (nodes * reports_per_node). */
     uint64_t reports = 0;
 
-    /** Histogram of every released value. */
+    /** Histogram of every released value (64 bins). */
     Histogram released_hist;
 
     /** Moments of every released value: exact, from integer sums
@@ -357,37 +347,44 @@ struct FleetReport
     uint64_t fingerprint() const;
 };
 
+namespace fleet_detail {
+struct CohortPlan;
+struct Block;
+struct WorkerScratch;
+} // namespace fleet_detail
+
 /**
  * Runs fleet epochs on the process-wide worker pool
- * (common/worker_pool.h), one work item per block.
+ * (common/worker_pool.h) in three phases:
  *
- * Scheduling (all of it invisible to the merged result):
+ *  - plan (constructor, once): validate and resolve every cohort,
+ *    enumerate its sampler table and cut it into blocks. A plan
+ *    borrows its CohortConfig from config() and holds nothing per
+ *    node; the block list and each block's slab serve every epoch.
+ *  - execute (run()): WorkerPool::forEach over the block list, one
+ *    free function per block -- the grid executor, or the Ideal
+ *    executor whose continuous values keep per-block Welford slabs
+ *    -- with per-worker scratch (RNG clones, batch samplers, tallies)
+ *    that persists across blocks and epochs, so the hot loop never
+ *    allocates.
+ *  - fold (end of run()): one ordered merge of the block slabs and
+ *    worker tallies into the FleetReport, then the agg decode,
+ *    telemetry and the epoch ledger.
  *
- *  - Blocks run on the pool's parked helpers, spawned before the
- *    first wide epoch's timer starts; they outlive the runner. PR 3
- *    spawned and joined threads inside every run(), which cost more
- *    than the bench epoch itself and flattened the scaling curve.
- *  - forEach's per-worker block queues and single-block steals
- *    balance ragged cohorts with no shared claim counter and without
- *    perturbing the block-to-slab mapping.
- *  - Per-worker scratch (RNG clones, batch samplers holding a
- *    raw-pointer view of the cohort table, noise rects) is owned by
- *    the runner, indexed by the pool's worker index, and persists
- *    across blocks *and epochs*, so the hot loop never allocates and
- *    never touches the shared table's shared_ptr control block.
- *
- * None of this can move a bit of the FleetReport: block -> accumulator
- * slab is a static mapping, every block's content depends only on
- * (master seed, cohort, node id), and the merge order is block index.
- * Work-stealing changes *when* a block runs and on *which* thread --
- * two dimensions the result provably does not depend on.
+ * Block -> slab is a static mapping and every block's content depends
+ * only on (master seed, cohort, node id), so work stealing changes
+ * when and on which thread a block runs, never a bit of the result.
  */
 class FleetRunner
 {
   public:
-    /** Validates the configuration and enumerates per-cohort sampler
-     *  tables (fatal on invalid cohorts, e.g. no valid threshold). */
+    /** Plans every cohort (fatal on invalid cohorts, e.g. no valid
+     *  threshold, a negative budget or a non-finite reading). */
     explicit FleetRunner(FleetConfig config);
+
+    /** The plans borrow config(): a runner is never copied or moved. */
+    FleetRunner(const FleetRunner &) = delete;
+    FleetRunner &operator=(const FleetRunner &) = delete;
 
     ~FleetRunner();
 
@@ -413,15 +410,18 @@ class FleetRunner
     static void forceScalarBlocks(bool on);
 
   private:
-    struct CohortPlan;
-    struct WorkerScratch;
+    /** Merge one executed epoch into its report (main thread). */
+    FleetReport fold(unsigned spawn, double seconds,
+                     std::vector<std::vector<double>> &matrices);
 
     FleetConfig config_;
     FleetSeeder seeder_;
-    std::vector<CohortPlan> plans_;
-    /** Per-worker-slot scratch (RNG clones, batch samplers, rects),
-     *  reused across epochs; grown to the largest thread count seen. */
-    std::vector<std::unique_ptr<WorkerScratch>> scratch_;
+    std::vector<fleet_detail::CohortPlan> plans_;
+    /** Every cohort's blocks, cohort-major; block i owns slab i. */
+    std::vector<fleet_detail::Block> blocks_;
+    /** Per-worker-slot scratch, reused across epochs; grown to the
+     *  largest thread count seen. */
+    std::vector<std::unique_ptr<fleet_detail::WorkerScratch>> scratch_;
 };
 
 } // namespace ulpdp

@@ -508,6 +508,46 @@ TEST(FleetEngine, ThreadZeroSelectsHardware)
     EXPECT_GT(rep.reportsPerSecond(), 0.0);
 }
 
+TEST(FleetEngine, RejectsFailOpenBudgetsAndNonFiniteValues)
+{
+    // A budget that is not a finite non-negative number must never
+    // run the cohort unmetered, and a non-finite true reading must
+    // never reach the input quantizer: both are refused at plan time.
+    const double inf = std::numeric_limits<double>::infinity();
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    for (double budget : {-1.0, -1e-300, nan, inf, -inf}) {
+        FleetConfig fc = smallFleet();
+        fc.cohorts[1].budget_per_node = budget;
+        EXPECT_THROW(FleetRunner runner(fc), FatalError)
+            << "budget " << budget;
+    }
+    for (double bad : {nan, inf, -inf}) {
+        FleetConfig fc = smallFleet();
+        fc.cohorts[0].values.assign(300, 5.0);
+        fc.cohorts[0].values[299] = bad;
+        EXPECT_THROW(FleetRunner runner(fc), FatalError)
+            << "value " << bad;
+    }
+
+    // Zero still means unmetered, and a finite reading however far
+    // outside the sensor range releases exactly what the nearest
+    // range edge would (its grid index is clamped, never overflowed).
+    auto released = [](double below, double above) {
+        FleetConfig fc = smallFleet();
+        fc.cohorts.resize(1);
+        fc.cohorts[0].budget_per_node = 0.0;
+        fc.cohorts[0].values.assign(300, 5.0);
+        fc.cohorts[0].values[0] = below;
+        fc.cohorts[0].values[1] = above;
+        FleetRunner runner(fc);
+        FleetReport rep = runner.run(2);
+        EXPECT_EQ(rep.cohorts[0].fresh_reports, 300u * 4u);
+        EXPECT_EQ(rep.cohorts[0].nodes_exhausted, 0u);
+        return rep.cohorts[0].matrix;
+    };
+    EXPECT_TRUE(sameBits(released(-1e300, 1e300), released(0.0, 10.0)));
+}
+
 // ---------------------------------------------------------------------
 // Persistent-pool / work-stealing stress (TSan-clean by construction:
 // the fleet-smoke CI job runs this file under ULPDP_SANITIZE=thread)
@@ -1040,6 +1080,105 @@ TEST(FleetExact, MomentsMatchTwoPassReference)
         EXPECT_LE(relErr(r.error_stats.variance(), err_ss / n), 1e-12);
         EXPECT_EQ(r.error_stats.min(), err_lo);
         EXPECT_EQ(r.error_stats.max(), err_hi);
+    }
+}
+
+/** FNV-1a over the bit patterns of a materialized report matrix. */
+uint64_t
+fnv1a(const std::vector<double> &m)
+{
+    uint64_t h = 0xcbf29ce484222325ULL;
+    for (double v : m) {
+        const uint64_t b = bits(v);
+        for (int i = 0; i < 8; ++i) {
+            h ^= (b >> (8 * i)) & 0xff;
+            h *= 0x100000001b3ULL;
+        }
+    }
+    return h;
+}
+
+/**
+ * One cohort per executor branch on 83-node blocks (never a multiple
+ * of the 16 batch lanes): the batched clamp rect (thresholding), the
+ * batched truncated rect (resampling), bounded-Laplace, the plain
+ * rect (naive), the continuous Ideal executor, a cohort whose budget
+ * affords no fresh report (the midpoint path), and a tableless
+ * resampling cohort (2^25 URNG states) that draws on the scalar
+ * confined-output path even when batching is on.
+ */
+FleetConfig
+everyBranchFleet()
+{
+    FleetConfig fc = raggedFleet();
+    const FxpMechanismParams p = fc.cohorts[0].params;
+    auto cohort = [&](const char *name, const char *mechanism,
+                      uint64_t nodes, uint32_t reports) {
+        CohortConfig c;
+        c.name = name;
+        c.mechanism_name = mechanism;
+        c.params = p;
+        c.nodes = nodes;
+        c.reports_per_node = reports;
+        c.analyze_loss = false;
+        return c;
+    };
+    fc.cohorts = {cohort("thr", "thresholding", 997, 3),
+                  cohort("res", "resampling", 1201, 2),
+                  cohort("bounded", "bounded-laplace", 613, 3),
+                  cohort("naive", "naive", 389, 2),
+                  cohort("ideal", "ideal", 157, 3),
+                  cohort("broke", "thresholding", 71, 2),
+                  cohort("tableless", "resampling", 101, 2)};
+    for (size_t c : {0, 4, 5})
+        fc.cohorts[c].materialize = true;
+    fc.cohorts[1].agg.enabled = true;
+    fc.cohorts[1].agg.per_trial = true;
+    fc.cohorts[2].budget_per_node = 1.5; // 1 fresh of 3 at 2*eps
+    fc.cohorts[5].budget_per_node = 0.1; // below one 2*eps charge
+    // Midpoint 4.95 is off the Delta grid (nearest slot: 5.0), so the
+    // midpoint release and its nearest slot differ.
+    fc.cohorts[5].params.range = SensorRange(0.0, 9.9);
+    fc.cohorts[6].params.uniform_bits = 25;
+    return fc;
+}
+
+TEST(FleetExact, GoldenEveryExecutorBranch)
+{
+    // Literals recorded on the engine whose run() still processed
+    // every block through one monolithic lambda; splitting it into
+    // plan, per-kind block executors and one fold must not move them
+    // at any thread count or on the forced scalar path.
+    constexpr uint64_t kFingerprint = 0xb22364dc6df64dceULL;
+    // FNV-1a of the materialized thr, ideal and broke matrices.
+    const std::vector<std::pair<size_t, uint64_t>> kMatrices = {
+        {0, 0x263e6863262a8894ULL},
+        {4, 0xd2bae1e069d91265ULL},
+        {5, 0x2e4af8b15f22206dULL}};
+    FleetRunner runner(everyBranchFleet());
+    auto check = [&](const FleetReport &rep) {
+        EXPECT_EQ(rep.fingerprint(), kFingerprint)
+            << std::hex << rep.fingerprint();
+        ASSERT_EQ(rep.cohorts.size(), 7u);
+        for (const auto &[c, fnv] : kMatrices)
+            EXPECT_EQ(fnv1a(rep.cohorts[c].matrix), fnv)
+                << rep.cohorts[c].name << ' ' << std::hex
+                << fnv1a(rep.cohorts[c].matrix);
+        EXPECT_TRUE(rep.cohorts[1].matrix.empty());
+        // The branches the fleet is meant to reach are reached.
+        EXPECT_GT(rep.cohorts[2].cache_replays, 0u);
+        EXPECT_EQ(rep.cohorts[5].fresh_reports, 0u);
+        ASSERT_TRUE(rep.cohorts[1].agg);
+        EXPECT_EQ(rep.cohorts[1].agg->sketch.trialRows(), 2u);
+    };
+    for (unsigned threads : {1u, 3u, 8u}) {
+        SCOPED_TRACE(threads);
+        check(runner.run(threads));
+    }
+    ScopedForceScalar forced(true);
+    for (unsigned threads : {1u, 3u}) {
+        SCOPED_TRACE(threads);
+        check(runner.run(threads));
     }
 }
 
